@@ -14,11 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditional import ConditionalStats, pair_sum_stats
-from .core import DensityMatrix
-from .errors import DimensionMismatch, ZeroLikelihood
-from .kraus import EffectOperator, MeasurementStage, scaled_kraus_weights
-from .pointer import GaussianPairSum
+from .conditional import ConditionalStats, check_normalization, pair_centers, pair_rows_moments
+from .core import DensityMatrix, check_states
+from .errors import DimensionMismatch, FirstFailure, ZeroLikelihood
+from .kraus import EffectOperator, MeasurementStage, projector_sums, scaled_weight_rows
+from .pointer import GaussianPairSum, check_coefficients, check_residue, moment_sums, moment_terms
 
 #: Fixed outcomes farther than this many sigmas from every eigenvalue abort
 #: a query instead of producing denormal likelihoods.
@@ -66,19 +66,21 @@ class ChainQuery:
             raise ValueError("fixed outcomes must be finite")
 
     def validate_for(self, chain: MeasurementChain) -> None:
-        n = len(chain)
-        if not 1 <= self.free_index <= n:
-            raise ValueError(f"free index {self.free_index} outside 1..{n}")
-        if len(self.fixed_outcomes) != n - 1:
-            raise ValueError(
-                f"{n}-stage chain needs {n - 1} fixed outcomes, got {len(self.fixed_outcomes)}"
-            )
+        _check_query_shape(chain, self.free_index, len(self.fixed_outcomes))
 
     def outcomes_before(self) -> tuple[float, ...]:
         return self.fixed_outcomes[: self.free_index - 1]
 
     def outcomes_after(self) -> tuple[float, ...]:
         return self.fixed_outcomes[self.free_index - 1 :]
+
+
+def _check_query_shape(chain: MeasurementChain, free_index: int, n_fixed: int) -> None:
+    n = len(chain)
+    if not 1 <= free_index <= n:
+        raise ValueError(f"free index {free_index} outside 1..{n}")
+    if n_fixed != n - 1:
+        raise ValueError(f"{n}-stage chain needs {n - 1} fixed outcomes, got {n_fixed}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,67 @@ class ChainResult:
     clamped: bool = False
 
 
+@dataclass(frozen=True)
+class ChainRows:
+    """Conditional densities of the free outcome for ``B`` records at once.
+
+    Row ``i`` is the pair sum with coefficients ``coeffs[i]`` over the shared
+    centers, width ``sigma[i]`` and zeroth moment ``normalization[i]``.
+    ``stats`` holds array moments when they were computed.
+    """
+
+    coeffs: np.ndarray
+    centers_a: np.ndarray
+    centers_b: np.ndarray
+    sigma: np.ndarray
+    normalization: np.ndarray
+    stats: ConditionalStats | None = None
+
+    def density(self, i: int) -> GaussianPairSum:
+        return GaussianPairSum(self.coeffs[i], self.centers_a, self.centers_b, float(self.sigma[i]))
+
+    def result(self, i: int) -> ChainResult:
+        return ChainResult(
+            density=self.density(i),
+            normalization=float(self.normalization[i]),
+            mean=float(self.stats.mean[i]),
+            variance=float(self.stats.variance[i]),
+            extracted_variance=float(self.stats.extracted_system_variance[i]),
+            clamped=bool(self.stats.clamped[i]),
+        )
+
+
+def one_row(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``(1, k)`` outcomes and ``(1, N)`` stage widths: one record for the ``*_rows`` functions."""
+    return (
+        np.array(outcomes, dtype=float).reshape(1, len(outcomes)),
+        np.array([[stage.sigma for stage in chain.stages]]),
+    )
+
+
+def _fold(stage: MeasurementStage, sigmas, xs, matrices, log_scale):
+    weights, log_w = scaled_weight_rows(stage.observable.levels, sigmas, xs)
+    kraus = projector_sums(stage.observable.projectors, weights)
+    return kraus @ matrices @ kraus, log_scale + 2.0 * log_w
+
+
+def chain_state_rows(
+    chain: MeasurementChain, outcomes: np.ndarray, sigmas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked :func:`chain_state` fold for ``(B, k)`` outcomes and ``(B, N)`` widths.
+
+    Returns ``(B, d, d)`` matrices and ``(B,)`` log scales, or single
+    broadcastable ones when no stage is folded. Callers check the states.
+    """
+    if outcomes.shape[1] > len(chain):
+        raise ValueError(f"{outcomes.shape[1]} outcomes for a {len(chain)}-stage chain")
+    matrices = chain.initial_state.matrix[None]
+    log_scale = np.array([chain.initial_state.log_scale])
+    for j, stage in enumerate(chain.stages[: outcomes.shape[1]]):
+        matrices, log_scale = _fold(stage, sigmas[:, j], outcomes[:, j], matrices, log_scale)
+    return matrices, log_scale
+
+
 def chain_state(chain: MeasurementChain, outcomes: Sequence[float]) -> DensityMatrix:
     """Unnormalized state after the first ``len(outcomes)`` stages.
 
@@ -100,16 +163,29 @@ def chain_state(chain: MeasurementChain, outcomes: Sequence[float]) -> DensityMa
     trace is the joint likelihood of those outcomes, tracked as a log-scale
     prefactor.
     """
-    if len(outcomes) > len(chain):
-        raise ValueError(f"{len(outcomes)} outcomes for a {len(chain)}-stage chain")
-    matrix = chain.initial_state.matrix
-    log_scale = chain.initial_state.log_scale
-    for stage, x in zip(chain.stages, outcomes):
-        weights, log_w = scaled_kraus_weights(stage, float(x))
-        kraus = np.einsum("g,gij->ij", weights, stage.observable.projectors)
-        matrix = kraus @ matrix @ kraus
-        log_scale += 2.0 * log_w
-    return DensityMatrix(matrix, log_scale=log_scale)
+    matrices, log_scale = chain_state_rows(chain, *one_row(chain, outcomes))
+    return DensityMatrix(matrices[0], log_scale=float(log_scale[0]))
+
+
+def effect_chain_rows(
+    chain: MeasurementChain, outcomes: np.ndarray, sigmas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`effect_chain` for ``(B, k)`` outcomes of the last ``k`` stages.
+
+    Returns ``(B, d, d)`` effect matrices and ``(B,)`` log scales, or a
+    single broadcastable identity and zero when ``k`` is 0.
+    """
+    n_fixed = outcomes.shape[1]
+    if n_fixed > len(chain):
+        raise ValueError(f"{n_fixed} outcomes for a {len(chain)}-stage chain")
+    matrices = np.eye(chain.dim, dtype=complex)[None]
+    log_scale = np.zeros(1)
+    first = len(chain) - n_fixed
+    for k in reversed(range(n_fixed)):
+        matrices, log_scale = _fold(
+            chain.stages[first + k], sigmas[:, first + k], outcomes[:, k], matrices, log_scale
+        )
+    return matrices, log_scale
 
 
 def effect_chain(chain: MeasurementChain, outcomes: Sequence[float]) -> EffectOperator:
@@ -118,31 +194,47 @@ def effect_chain(chain: MeasurementChain, outcomes: Sequence[float]) -> EffectOp
     Builds ``Omega_{k+1}^dagger ... Omega_N^dagger Omega_N ... Omega_{k+1}``
     from the inside out; an empty outcome list gives the identity.
     """
-    n_fixed = len(outcomes)
-    if n_fixed > len(chain):
-        raise ValueError(f"{n_fixed} outcomes for a {len(chain)}-stage chain")
-    matrix = np.eye(chain.dim, dtype=complex)
-    log_scale = 0.0
-    for stage, x in zip(reversed(chain.stages[len(chain) - n_fixed :]), reversed(list(outcomes))):
-        weights, log_w = scaled_kraus_weights(stage, float(x))
-        kraus = np.einsum("g,gij->ij", weights, stage.observable.projectors)
-        matrix = kraus @ matrix @ kraus
-        log_scale += 2.0 * log_w
-    return EffectOperator(matrix=matrix, outcomes=tuple(float(x) for x in outcomes), log_scale=log_scale)
+    matrices, log_scale = effect_chain_rows(chain, *one_row(chain, outcomes))
+    return EffectOperator(
+        matrix=matrices[0],
+        outcomes=tuple(float(x) for x in outcomes),
+        log_scale=float(log_scale[0]),
+    )
 
 
-def _check_outcome_reach(chain: MeasurementChain, query: ChainQuery) -> None:
-    fixed = iter(query.fixed_outcomes)
-    for j, stage in enumerate(chain.stages, start=1):
-        if j == query.free_index:
-            continue
-        x = next(fixed)
-        gap = float(np.min(np.abs(x - stage.observable.levels)))
-        if gap > OUTCOME_SIGMA_CUTOFF * stage.sigma:
-            raise ZeroLikelihood(
-                f"outcome {x!r} of stage {j} lies {gap / stage.sigma:.1f} sigma from "
-                f"every eigenvalue (cutoff {OUTCOME_SIGMA_CUTOFF})"
-            )
+def _numerator_rows(
+    chain: MeasurementChain, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure
+) -> np.ndarray:
+    # (n, d, d) coefficient matrices of the conditional density in the free
+    # stage's eigenbasis, after every per-row check up to the pair sum
+    _check_query_shape(chain, free_index, fixed.shape[1])
+    n = rows.check(~np.isfinite(fixed).all(axis=-1), lambda i: ValueError("fixed outcomes must be finite"))
+    free = free_index - 1
+    # every fixed outcome against its stage's spectrum; a row fails at its
+    # first out-of-reach stage
+    others = [j for j in range(len(chain)) if j != free]
+    gaps = np.empty((n, len(others)))
+    for k, j in enumerate(others):
+        gaps[:, k] = np.abs(fixed[:n, k, None] - chain.stages[j].observable.levels).min(axis=-1)
+    far = gaps > OUTCOME_SIGMA_CUTOFF * sigmas[:n, others]
+
+    def unreachable(i):
+        k = int(np.argmax(far[i]))
+        j = others[k]
+        return ZeroLikelihood(
+            f"outcome {float(fixed[i, k])!r} of stage {j + 1} lies {gaps[i, k] / sigmas[i, j]:.1f} "
+            f"sigma from every eigenvalue (cutoff {OUTCOME_SIGMA_CUTOFF})"
+        )
+
+    n = rows.check(far.any(axis=-1), unreachable)
+    rho, _ = chain_state_rows(chain, fixed[:n, :free], sigmas[:n])
+    n = check_states(rho, rows)
+    effect, _ = effect_chain_rows(chain, fixed[:n, free:], sigmas[:n])
+    v = chain.stages[free].observable.eigenvectors
+    rho_in_basis = v.conj().T @ rho[:n] @ v
+    effect_in_basis = v.conj().T @ effect @ v
+    coeffs = rho_in_basis * np.swapaxes(effect_in_basis, -1, -2)
+    return coeffs if len(coeffs) == n else np.repeat(coeffs, n, axis=0)
 
 
 def conditional_numerator(
@@ -155,16 +247,37 @@ def conditional_numerator(
     so the matrix is Hermitian PSD and the pair sum it induces is a
     nonnegative density.
     """
-    query.validate_for(chain)
-    _check_outcome_reach(chain, query)
+    coeffs = _numerator_rows(chain, query.free_index, *one_row(chain, query.fixed_outcomes), FirstFailure(1))
     free_stage = chain.stages[query.free_index - 1]
-    rho_before = chain_state(chain, query.outcomes_before())
-    effect = effect_chain(chain, query.outcomes_after())
-    v = free_stage.observable.eigenvectors
-    rho_in_basis = v.conj().T @ rho_before.matrix @ v
-    effect_in_basis = v.conj().T @ effect.matrix @ v
-    coeffs = rho_in_basis * effect_in_basis.T
-    return coeffs, free_stage.observable.eigenvalues, free_stage.sigma
+    return coeffs[0], free_stage.observable.eigenvalues, free_stage.sigma
+
+
+def _pair_rows(chain, free_index, fixed, sigmas, rows: FirstFailure):
+    # flattened numerator rows with finite coefficients, as a GaussianPairSum needs
+    coeffs = _numerator_rows(chain, free_index, fixed, sigmas, rows)
+    n = rows.rows
+    coeffs = coeffs.reshape(n, -1)
+    sigma = sigmas[:n, free_index - 1]
+    n = check_coefficients(coeffs, rows)
+    centers_a, centers_b = pair_centers(chain.stages[free_index - 1].observable.eigenvalues)
+    return coeffs[:n], centers_a, centers_b, sigma[:n]
+
+
+def conditional_density_rows(
+    chain: MeasurementChain, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure
+) -> ChainRows:
+    """Densities of the free outcome for ``(B, N - 1)`` fixed outcomes and ``(B, N)`` widths.
+
+    Widths must be finite and positive, as :class:`Pointer` enforces. Every
+    row runs the checks of :func:`conditional_density_k`; the result holds
+    the live rows and the caller raises :meth:`FirstFailure.raise_first`.
+    """
+    coeffs, centers_a, centers_b, sigma = _pair_rows(chain, free_index, fixed, sigmas, rows)
+    totals, scales = moment_sums(moment_terms(coeffs, centers_a, centers_b, sigma[:, None], (0,)))
+    check_residue(totals[0], scales[0], rows)
+    norm = totals.real[0]
+    n = check_normalization(norm, rows, "conditional")
+    return ChainRows(coeffs[:n], centers_a, centers_b, sigma[:n], norm[:n])
 
 
 def conditional_density_k(
@@ -175,28 +288,27 @@ def conditional_density_k(
     Returns the unnormalized Gaussian pair sum and its normalization
     (zeroth moment); the density is their ratio.
     """
-    coeffs, centers, sigma = conditional_numerator(chain, query)
-    grid_a, grid_b = np.meshgrid(centers, centers, indexing="ij")
-    density = GaussianPairSum(coeffs.ravel(), grid_a.ravel(), grid_b.ravel(), sigma)
-    norm = density.moment(0)
-    if not np.isfinite(norm) or norm < 1e-300:
-        raise ZeroLikelihood(f"conditional normalization {norm!r} too small")
-    return density, norm
+    densities = conditional_density_rows(
+        chain, query.free_index, *one_row(chain, query.fixed_outcomes), FirstFailure(1)
+    )
+    return densities.density(0), float(densities.normalization[0])
+
+
+def conditional_stats_rows(
+    chain: MeasurementChain, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure
+) -> ChainRows:
+    """:func:`conditional_density_rows` with the moments of every live row."""
+    coeffs, centers_a, centers_b, sigma = _pair_rows(chain, free_index, fixed, sigmas, rows)
+    norm, stats = pair_rows_moments(coeffs, centers_a, centers_b, sigma, rows, "conditional")
+    n = rows.rows
+    return ChainRows(coeffs[:n], centers_a, centers_b, sigma[:n], norm, stats)
 
 
 def conditional_stats_k(chain: MeasurementChain, query: ChainQuery) -> ChainResult:
     """Mean, variance and extracted variance of the free outcome."""
-    density, norm = conditional_density_k(chain, query)
-    sigma = chain.stages[query.free_index - 1].sigma
-    stats: ConditionalStats = pair_sum_stats(density, sigma)
-    return ChainResult(
-        density=density,
-        normalization=norm,
-        mean=stats.mean,
-        variance=stats.variance,
-        extracted_variance=stats.extracted_system_variance,
-        clamped=stats.clamped,
-    )
+    return conditional_stats_rows(
+        chain, query.free_index, *one_row(chain, query.fixed_outcomes), FirstFailure(1)
+    ).result(0)
 
 
 def joint_outcome_likelihood(chain: MeasurementChain, outcomes: Sequence[float]) -> float:

@@ -5,7 +5,8 @@ illustration with both the closed-form and generic-engine columns;
 ``chain`` evaluates a configured measurement chain (optionally with
 quadrature and Monte Carlo oracle columns); ``validate`` runs a module's
 randomized invariant suite. Output is deterministic for a fixed seed and
-configuration. ``SEQMEAS_THREADS`` caps sweep parallelism.
+configuration. Every sweep is one batched engine call; a failing sweep
+raises the error of its first failing row, naming that row's values.
 """
 
 from __future__ import annotations
@@ -13,18 +14,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import __version__, conditional, spin
-from .chain import ChainQuery, MeasurementChain, conditional_stats_k
+from . import __version__, spin
+from .chain import ChainQuery, MeasurementChain, conditional_stats_rows, one_row
+from .conditional import backward_stats_rows, forward_stats_rows
 from .core import DensityMatrix, Observable
-from .errors import ConfigParseError, InvalidRange, SeqMeasError
-from .joint import backaction_variance
+from .errors import ConfigParseError, FirstFailure, InvalidRange, SeqMeasError
+from .joint import backaction_variance_rows
 from .kraus import MeasurementStage
 from .oracle import (
     RNG_ALGORITHM,
@@ -44,20 +46,33 @@ STATE_PRESETS = {
 }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SEQMEAS_THREADS", "1")
+def _sweep_rows(
+    n: int,
+    engine: Callable[[FirstFailure], object],
+    row: Callable[[int, object], tuple],
+    label: Callable[[int], str] | None,
+) -> list[tuple]:
+    """CSV rows of an ``n``-row sweep: one batched engine call, then per-row cells.
+
+    ``engine(rows)`` evaluates every row at once; ``row(i, result)`` adds
+    the per-row columns (closed forms, oracles) in row order. A failure is
+    the one a row-by-row loop would raise first, with ``label(i)`` of its
+    row, if given, in front of the message.
+    """
+    rows = FirstFailure(n)
+    i = None
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    workers = _thread_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        result = engine(rows)
+        out = []
+        for i in range(rows.rows):
+            out.append(row(i, result))
+        rows.raise_first()
+    except (SeqMeasError, ValueError) as exc:
+        failed = getattr(exc, "row", i)
+        if failed is not None and label is not None:
+            exc.args = (f"{label(failed)}: {exc}",)
+        raise
+    return out
 
 
 def _format(value) -> str:
@@ -106,12 +121,13 @@ def _grid(lo: float, hi: float, steps: int, *, log: bool) -> np.ndarray:
 def cmd_fig2(args) -> int:
     grid = _grid(args.sigma1_min, args.sigma1_max, args.steps, log=True)
     rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
-
-    def row(sigma1: float):
-        generic = backaction_variance(rho0, MeasurementStage(sz, Pointer(sigma1)), sx)
-        return (float(sigma1), spin.var_sx_rho1_closed(sigma1), generic)
-
-    rows = _map_ordered(row, list(grid))
+    sigma1 = grid.tolist()
+    rows = _sweep_rows(
+        grid.size,
+        lambda r: backaction_variance_rows(rho0, sz, grid, sx, r).tolist(),
+        lambda i, generic: (sigma1[i], spin.var_sx_rho1_closed(sigma1[i]), generic[i]),
+        lambda i: f"sigma1 = {sigma1[i]!r}",
+    )
     meta = _meta_lines(
         f"fig2 --sigma1-min {args.sigma1_min} --sigma1-max {args.sigma1_max} --steps {args.steps}"
     )
@@ -119,20 +135,29 @@ def cmd_fig2(args) -> int:
     return 0
 
 
+def _outer_grid(inner: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # every (inner, outer) pair, inner index fastest
+    return np.tile(inner, outer.size), np.repeat(outer, inner.size)
+
+
 def cmd_fig3(args) -> int:
     x1_grid = _grid(args.x1_min, args.x1_max, args.x1_steps, log=False)
     s1_grid = _grid(args.sigma1_min, args.sigma1_max, args.sigma1_steps, log=True)
     rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
-    points = [(float(x1), float(s1)) for s1 in s1_grid for x1 in x1_grid]
+    sigma2 = Pointer(args.sigma2).sigma
+    x1, s1 = _outer_grid(x1_grid, s1_grid)
+    xs, ss = x1.tolist(), s1.tolist()
 
-    def row(point):
-        x1, s1 = point
-        stats = conditional.forward_stats(
-            rho0, MeasurementStage(sz, Pointer(s1)), MeasurementStage(sx, Pointer(args.sigma2)), x1
-        )
-        return (x1, s1, spin.var_sx_given_sz_closed(s1, x1), stats.extracted_system_variance)
+    def engine(r):
+        s2 = np.full(x1.size, sigma2)
+        return forward_stats_rows(rho0, sz, s1, sx, s2, x1, r).extracted_system_variance.tolist()
 
-    rows = _map_ordered(row, points)
+    rows = _sweep_rows(
+        x1.size,
+        engine,
+        lambda i, generic: (xs[i], ss[i], spin.var_sx_given_sz_closed(ss[i], xs[i]), generic[i]),
+        lambda i: f"x1 = {xs[i]!r}, sigma1 = {ss[i]!r}",
+    )
     meta = _meta_lines(
         f"fig3 --x1-min {args.x1_min} --x1-max {args.x1_max} --x1-steps {args.x1_steps} "
         f"--sigma1-min {args.sigma1_min} --sigma1-max {args.sigma1_max} "
@@ -151,20 +176,22 @@ def cmd_fig4(args) -> int:
     x2_grid = _grid(args.x2_min, args.x2_max, args.x2_steps, log=False)
     s2_grid = _grid(args.sigma2_min, args.sigma2_max, args.sigma2_steps, log=True)
     rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
-    stage1 = MeasurementStage(sz, Pointer(args.sigma1))
-    points = [(float(x2), float(s2)) for s2 in s2_grid for x2 in x2_grid]
+    sigma1 = Pointer(args.sigma1).sigma
+    x2, s2 = _outer_grid(x2_grid, s2_grid)
+    xs, ss = x2.tolist(), s2.tolist()
 
-    def row(point):
-        x2, s2 = point
-        stats = conditional.backward_stats(rho0, stage1, MeasurementStage(sx, Pointer(s2)), x2)
-        return (
-            x2,
-            s2,
-            spin.var_sz_given_sx_closed(args.sigma1, s2, x2),
-            stats.extracted_system_variance,
-        )
+    def engine(r):
+        s1 = np.full(x2.size, sigma1)
+        return backward_stats_rows(rho0, sz, s1, sx, s2, x2, r).extracted_system_variance.tolist()
 
-    rows = _map_ordered(row, points)
+    rows = _sweep_rows(
+        x2.size,
+        engine,
+        lambda i, generic: (
+            xs[i], ss[i], spin.var_sz_given_sx_closed(args.sigma1, ss[i], xs[i]), generic[i]
+        ),
+        lambda i: f"x2 = {xs[i]!r}, sigma2 = {ss[i]!r}",
+    )
     meta = _meta_lines(
         f"fig4 --x2-min {args.x2_min} --x2-max {args.x2_max} --x2-steps {args.x2_steps} "
         f"--sigma2-min {args.sigma2_min} --sigma2-max {args.sigma2_max} "
@@ -241,8 +268,45 @@ def _require_key(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, dict | None]:
-    """Build a chain and query from a parsed config mapping."""
+@dataclass(frozen=True)
+class Sweep:
+    """A resolved ``sweep`` block: one config number over a linear grid.
+
+    ``index`` is a fixed-outcome column (``query.fixed_outcomes.<i>``) or,
+    with ``sets_sigma``, a stage (``stages.<i>.sigma``). ``spec`` is the raw
+    block.
+    """
+
+    path: str
+    index: int
+    sets_sigma: bool
+    spec: dict
+
+
+_OUTCOME_PATH = re.compile(r"query\.fixed_outcomes\.([0-9]+)")
+_SIGMA_PATH = re.compile(r"stages\.([0-9]+)\.sigma")
+
+
+def _parse_sweep(sweep, n_stages: int, n_fixed: int) -> Sweep:
+    if not isinstance(sweep, dict):
+        raise ConfigParseError("sweep: expected an object")
+    for key in ("path", "min", "max", "steps"):
+        _require_key(sweep, key, "sweep")
+    if not isinstance(sweep["steps"], int) or sweep["steps"] < 2:
+        raise ConfigParseError("sweep.steps: expected an integer >= 2")
+    path = sweep["path"]
+    for pattern, sets_sigma, count in ((_OUTCOME_PATH, False, n_fixed), (_SIGMA_PATH, True, n_stages)):
+        match = pattern.fullmatch(path) if isinstance(path, str) else None
+        if match and int(match[1]) < count:
+            return Sweep(path, int(match[1]), sets_sigma, sweep)
+    raise ConfigParseError(
+        f"sweep.path: unsupported path {path!r}; use query.fixed_outcomes.<i> "
+        f"(0 <= i < {n_fixed}) or stages.<i>.sigma (0 <= i < {n_stages})"
+    )
+
+
+def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Sweep | None]:
+    """Build a chain, query and optional resolved sweep from a parsed config mapping."""
     if not isinstance(payload, dict):
         raise ConfigParseError("top level: expected an object")
     dim = _require_key(payload, "dim", "top level")
@@ -281,30 +345,22 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, dic
         raise ConfigParseError(f"query: {exc}") from exc
     sweep = payload.get("sweep")
     if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigParseError("sweep: expected an object")
-        for key in ("path", "min", "max", "steps"):
-            _require_key(sweep, key, "sweep")
-        if not isinstance(sweep["steps"], int) or sweep["steps"] < 2:
-            raise ConfigParseError("sweep.steps: expected an integer >= 2")
+        sweep = _parse_sweep(sweep, len(stages), len(fixed))
     return chain, query, sweep
 
 
-def _apply_sweep_value(payload: dict, path: str, value: float) -> dict:
-    tokens = path.split(".")
-    clone = json.loads(json.dumps(payload))
-    node = clone
-    for i, token in enumerate(tokens):
-        last = i == len(tokens) - 1
-        key: object = int(token) if token.lstrip("-").isdigit() else token
-        try:
-            if last:
-                node[key] = value
-            else:
-                node = node[key]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ConfigParseError(f"sweep.path: cannot resolve {path!r} at {token!r}") from exc
-    return clone
+def _row_case(chain: MeasurementChain, query: ChainQuery, sweep: Sweep | None, value):
+    """The chain and query of one sweep row, for the per-row oracles."""
+    if sweep is None:
+        return chain, query
+    if sweep.sets_sigma:
+        stages = list(chain.stages)
+        stage = stages[sweep.index]
+        stages[sweep.index] = MeasurementStage(stage.observable, Pointer(value), label=stage.label)
+        return MeasurementChain(tuple(stages), chain.initial_state), query
+    fixed = list(query.fixed_outcomes)
+    fixed[sweep.index] = value
+    return chain, ChainQuery(query.free_index, tuple(fixed))
 
 
 def cmd_chain(args) -> int:
@@ -321,38 +377,52 @@ def cmd_chain(args) -> int:
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()[:16]
 
-    if sweep is None:
-        sweep_values = [None]
-    else:
-        sweep_values = list(
-            _grid(float(sweep["min"]), float(sweep["max"]), int(sweep["steps"]), log=False)
-        )
+    fixed, sigmas = one_row(chain, query.fixed_outcomes)
+    values = None
+    if sweep is not None:
+        grid = _grid(float(sweep.spec["min"]), float(sweep.spec["max"]), int(sweep.spec["steps"]), log=False)
+        values = grid.tolist()
+        fixed, sigmas = np.repeat(fixed, grid.size, axis=0), np.repeat(sigmas, grid.size, axis=0)
+        (sigmas if sweep.sets_sigma else fixed)[:, sweep.index] = grid
+
+    def engine(rows):
+        if sweep is not None and sweep.sets_sigma:
+            # a config that sets a width <= 0 is malformed at that row
+            rows.check(
+                grid <= 0.0,
+                lambda i: ConfigParseError(
+                    f"stages[{sweep.index}].sigma: expected a positive number, got {values[i]!r}"
+                ),
+            )
+        return conditional_stats_rows(chain, query.free_index, fixed, sigmas, rows)
 
     quad_cfg = QuadratureConfig(abs_tol=args.quad_tol)
 
-    def row(value):
-        if value is None:
-            c, q = chain, query
-        else:
-            c, q, _ = parse_chain_config(_apply_sweep_value(payload, sweep["path"], float(value)))
-        result = conditional_stats_k(c, q)
-        cells = [result.mean, result.variance, result.extracted_variance]
+    def row(i, result):
+        stats = result.stats
+        cells = [
+            float(stats.mean[i]),
+            float(stats.variance[i]),
+            float(stats.extracted_system_variance[i]),
+        ]
         if args.with_oracles:
-            _, _, quad_var = quad_pair_sum_stats(result.density, quad_cfg)
+            _, _, quad_var = quad_pair_sum_stats(result.density(i), quad_cfg)
+            c, q = _row_case(chain, query, sweep, None if values is None else values[i])
             mc_var, mc_se = mc_conditional_variance(
                 c, q, SamplerConfig(samples=args.mc_samples, seed=args.seed)
             )
             cells += [quad_var, mc_var, mc_se]
-        if value is not None:
-            cells = [float(value)] + cells
+        if values is not None:
+            cells = [values[i]] + cells
         return tuple(cells)
 
-    rows = _map_ordered(row, sweep_values)
+    label = None if sweep is None else (lambda i: f"{sweep.path} = {values[i]!r}")
+    rows = _sweep_rows(len(fixed), engine, row, label)
     header = ["mean", "variance", "extracted_variance"]
     if args.with_oracles:
         header += ["quad_variance", "mc_variance", "mc_se"]
     if sweep is not None:
-        header = [str(sweep["path"])] + header
+        header = [sweep.path] + header
     extra = [f"config: {args.config}", f"config-sha256: {config_hash}"]
     if args.with_oracles:
         extra += [f"seed: {args.seed}", f"rng: {RNG_ALGORITHM}", f"mc-samples: {args.mc_samples}"]

@@ -14,10 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, require_same_dim
-from .errors import VarianceInconsistency, ZeroLikelihood
-from .kraus import MeasurementStage, scaled_kraus_weights
-from .pointer import GaussianPairSum
+from .core import (
+    DensityMatrix,
+    Observable,
+    check_states,
+    level_weights,
+    normalize_states,
+    require_same_dim,
+)
+from .errors import FirstFailure, VarianceInconsistency, ZeroLikelihood
+from .kraus import MeasurementStage, projector_sums, scaled_weight_rows
+from .pointer import CENTERS, GaussianPairSum, check_coefficients, check_residue, moment_sums, moment_terms
 
 #: Extracted variances in [-EXTRACTED_CLAMP, 0) clamp to zero; below raises.
 EXTRACTED_CLAMP = 1e-9
@@ -29,7 +36,8 @@ class ConditionalStats:
 
     ``extracted_system_variance`` is the pointer variance minus the shot
     noise ``sigma^2`` of the free stage; ``clamped`` flags a sub-roundoff
-    negative value that was clipped to zero.
+    negative value that was clipped to zero. The batched ``*_rows``
+    functions return one with an array entry per row in every field.
     """
 
     mean: float
@@ -56,6 +64,51 @@ class ConditionalDensity:
         return self.numerator.value(x) / self.normalization
 
 
+def _one(value) -> np.ndarray:
+    return np.array([value], dtype=float)
+
+
+def _first_row(stats: ConditionalStats) -> ConditionalStats:
+    return ConditionalStats(
+        mean=float(stats.mean[0]),
+        variance=float(stats.variance[0]),
+        extracted_system_variance=float(stats.extracted_system_variance[0]),
+        clamped=bool(stats.clamped[0]),
+    )
+
+
+def pair_centers(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers of the ``d^2`` pair terms of a density over a full eigenbasis."""
+    d = eigenvalues.size
+    return np.repeat(eigenvalues, d), np.tile(eigenvalues, d)
+
+
+def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str) -> int:
+    return rows.check(
+        ~(np.isfinite(m0) & (m0 >= 1e-300)),
+        lambda i: ZeroLikelihood(f"{label} normalization {float(m0[i])!r} too small"),
+    )
+
+
+def _moment_stats(m0, m1, c2, sigma, rows: FirstFailure) -> ConditionalStats:
+    mean = m1 / m0
+    extracted = c2 / m0 - mean * mean
+    n = rows.check(
+        extracted < -EXTRACTED_CLAMP,
+        lambda i: VarianceInconsistency(
+            f"extracted variance {extracted[i]:.3e} below -{EXTRACTED_CLAMP:.0e}"
+        ),
+    )
+    clamped = extracted[:n] < 0.0
+    extracted = np.where(clamped, 0.0, extracted[:n])
+    return ConditionalStats(
+        mean=mean[:n],
+        variance=extracted + sigma[:n] * sigma[:n],
+        extracted_system_variance=extracted,
+        clamped=clamped,
+    )
+
+
 def pair_sum_stats(numerator: GaussianPairSum, sigma_free: float) -> ConditionalStats:
     """Moments of a shared-sigma pair sum, with the shot noise split off.
 
@@ -63,25 +116,50 @@ def pair_sum_stats(numerator: GaussianPairSum, sigma_free: float) -> Conditional
     so the extracted part is computed from the center spread alone instead
     of subtracting ``sigma^2`` from a possibly huge total variance.
     """
-    m0 = numerator.moment(0)
-    if not np.isfinite(m0) or m0 < 1e-300:
-        raise ZeroLikelihood(f"density normalization {m0!r} too small")
-    mean = numerator.moment(1) / m0
-    extracted = numerator.center_second_moment() / m0 - mean * mean
-    clamped = False
-    if extracted < 0.0:
-        if extracted < -EXTRACTED_CLAMP:
-            raise VarianceInconsistency(
-                f"extracted variance {extracted:.3e} below -{EXTRACTED_CLAMP:.0e}"
-            )
-        extracted = 0.0
-        clamped = True
-    return ConditionalStats(
-        mean=float(mean),
-        variance=float(extracted + sigma_free * sigma_free),
-        extracted_system_variance=float(extracted),
-        clamped=clamped,
+    rows = FirstFailure(1)
+    m0 = _one(numerator.moment(0))
+    check_normalization(m0, rows, "density")
+    m1 = _one(numerator.moment(1))
+    c2 = _one(numerator.center_second_moment())
+    return _first_row(_moment_stats(m0, m1, c2, _one(sigma_free), rows))
+
+
+def pair_rows_moments(
+    coeffs, centers_a, centers_b, sigma, rows: FirstFailure, label: str
+) -> tuple[np.ndarray, ConditionalStats]:
+    """Zeroth moments and :func:`pair_sum_stats` of ``(B, T)`` pair-sum rows.
+
+    ``sigma`` holds each row's shared width. A row fails on the imaginary
+    residue of a moment, with :class:`ZeroLikelihood`
+    (``"<label> normalization ... too small"``) when its zeroth moment is
+    not above 1e-300, or on the extracted-variance clamp.
+    """
+    totals, scales = moment_sums(moment_terms(coeffs, centers_a, centers_b, sigma[:, None], (0, 1, CENTERS)))
+    m0, m1, c2 = totals.real
+    check_residue(totals[0], scales[0], rows)
+    check_normalization(m0, rows, label)
+    check_residue(totals[1], scales[1], rows)
+    n = check_residue(totals[2], scales[2], rows)
+    stats = _moment_stats(m0[:n], m1[:n], c2[:n], sigma, rows)
+    return m0[: rows.rows], stats
+
+
+def conditional_state_rows(
+    rho0: DensityMatrix, obs1: Observable, sigma1: np.ndarray, x1: np.ndarray, rows: FirstFailure
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`conditional_state` for ``B`` (width, outcome) rows.
+
+    Returns the live ``(n, d, d)`` matrices and their ``(n,)`` log scales.
+    """
+    require_same_dim(obs1.dim, rho0.dim)
+    n = rows.check(
+        ~np.isfinite(x1), lambda i: ValueError(f"outcome must be finite, got {float(x1[i])!r}")
     )
+    weights, log_w = scaled_weight_rows(obs1.levels, sigma1[:n], x1[:n])
+    kraus = projector_sums(obs1.projectors, weights)
+    matrices = kraus @ rho0.matrix @ kraus
+    n = check_states(matrices, rows)
+    return matrices[:n], rho0.log_scale + 2.0 * log_w[:n]
 
 
 def conditional_state(
@@ -93,25 +171,25 @@ def conditional_state(
     carried as a log-scale prefactor so conditioning far into the Gaussian
     tails stays finite.
     """
-    obs = stage1.observable
-    require_same_dim(obs.dim, rho0.dim)
-    if not np.isfinite(x1):
-        raise ValueError(f"outcome must be finite, got {x1!r}")
-    weights, log_w = scaled_kraus_weights(stage1, x1)
-    kraus = np.einsum("g,gij->ij", weights, obs.projectors)
-    matrix = kraus @ rho0.matrix @ kraus
-    return DensityMatrix(matrix, log_scale=rho0.log_scale + 2.0 * log_w)
-
-
-def _level_weights(obs, rho: DensityMatrix) -> np.ndarray:
-    w = np.einsum("gij,ji->g", obs.projectors, rho.matrix).real
-    return np.clip(w, 0.0, None)
+    matrices, log_scale = conditional_state_rows(
+        rho0, stage1.observable, _one(stage1.sigma), _one(x1), FirstFailure(1)
+    )
+    return DensityMatrix(matrices[0], log_scale=float(log_scale[0]))
 
 
 def marginal_density_x1(rho0: DensityMatrix, stage1: MeasurementStage) -> GaussianPairSum:
     """Unconditional density of the first outcome: a plain Gaussian mixture."""
-    weights = _level_weights(stage1.observable, rho0)
+    weights = np.clip(level_weights(stage1.observable.projectors, rho0.matrix[None])[0], 0.0, None)
     return GaussianPairSum.mixture(weights, stage1.observable.levels, stage1.sigma)
+
+
+def _forward_weights(rho0, obs1, sigma1, obs2, sigma2, x1, rows: FirstFailure) -> np.ndarray:
+    # mixture weights of p(x2 | x1) over the second observable's levels
+    require_same_dim(obs1.dim, obs2.dim, rho0.dim)
+    states, _ = conditional_state_rows(rho0, obs1, sigma1, x1, rows)
+    normalized = normalize_states(states, rows)
+    weights = np.clip(level_weights(obs2.projectors, normalized), 0.0, None).astype(complex)
+    return weights[: check_coefficients(weights, rows)]
 
 
 def forward_density(
@@ -130,16 +208,37 @@ def forward_density(
     ZeroLikelihood
         If the conditioning outcome has vanishing marginal likelihood.
     """
-    require_same_dim(stage1.dim, stage2.dim, rho0.dim)
-    rho_hat = conditional_state(rho0, stage1, x1).normalized()
-    weights = _level_weights(stage2.observable, rho_hat)
-    numerator = GaussianPairSum.mixture(weights, stage2.observable.levels, stage2.sigma)
+    weights = _forward_weights(
+        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
+        _one(x1), FirstFailure(1),
+    )
+    numerator = GaussianPairSum.mixture(weights[0], stage2.observable.levels, stage2.sigma)
     return ConditionalDensity(
         direction="forward",
         conditioned_on=float(x1),
         numerator=numerator,
         normalization=numerator.moment(0),
     )
+
+
+def forward_stats_rows(
+    rho0: DensityMatrix,
+    obs1: Observable,
+    sigma1: np.ndarray,
+    obs2: Observable,
+    sigma2: np.ndarray,
+    x1: np.ndarray,
+    rows: FirstFailure,
+) -> ConditionalStats:
+    """:func:`forward_stats` for ``B`` rows of (first width, second width, first outcome).
+
+    Widths must be finite and positive, as :class:`Pointer` enforces.
+    Returns array fields over the live rows of ``rows``; the caller raises
+    :meth:`FirstFailure.raise_first`.
+    """
+    weights = _forward_weights(rho0, obs1, sigma1, obs2, sigma2, x1, rows)
+    sigma = sigma2[: len(weights)]
+    return pair_rows_moments(weights, obs2.levels, obs2.levels, sigma, rows, "density")[1]
 
 
 def forward_stats(
@@ -153,17 +252,40 @@ def forward_stats(
     The extracted part is the variance of the second observable conditioned
     on the first measurement's presence and outcome.
     """
-    density = forward_density(rho0, stage1, stage2, x1)
-    return pair_sum_stats(density.numerator, stage2.sigma)
+    return _first_row(forward_stats_rows(
+        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
+        _one(x1), FirstFailure(1),
+    ))
 
 
-def _scaled_effect_weights(stage: MeasurementStage, x: float) -> np.ndarray:
+def _squares(values: np.ndarray) -> np.ndarray:
+    # squares through the C library's pow, like a scalar ``x ** 2``: an
+    # array ``x * x`` rounds differently in about one case in a thousand
+    # and would move the last digits of backward variances
+    flat = values.ravel().tolist()
+    return np.fromiter((v**2 for v in flat), dtype=float, count=len(flat)).reshape(values.shape)
+
+
+def _scaled_effect_weights(levels: np.ndarray, sigmas: np.ndarray, xs: np.ndarray) -> np.ndarray:
     # effect weights |psi(x - b)|^2 rescaled so the largest is one; the
     # dropped prefactor cancels in every conditional ratio
-    logs = 2.0 * np.asarray(
-        [-((x - b) ** 2) / (4.0 * stage.sigma**2) for b in stage.observable.levels]
+    logs = 2.0 * (-_squares(xs[:, None] - levels) / (4.0 * _squares(sigmas))[:, None])
+    return np.exp(logs - logs.max(axis=-1, keepdims=True))
+
+
+def _backward_coeffs(rho0, obs1, sigma1, obs2, sigma2, x2, rows: FirstFailure) -> np.ndarray:
+    # Hadamard products of the initial state and the effect operator in the
+    # first observable's eigenbasis, one flattened (d^2,) row per record
+    require_same_dim(obs1.dim, obs2.dim, rho0.dim)
+    n = rows.check(
+        ~np.isfinite(x2), lambda i: ValueError(f"outcome must be finite, got {float(x2[i])!r}")
     )
-    return np.exp(logs - logs.max())
+    effect = projector_sums(obs2.projectors, _scaled_effect_weights(obs2.levels, sigma2[:n], x2[:n]))
+    v = obs1.eigenvectors
+    rho_in_a = v.conj().T @ rho0.matrix @ v
+    effect_in_a = v.conj().T @ effect @ v
+    coeffs = (rho_in_a * np.swapaxes(effect_in_a, -1, -2)).reshape(n, -1)
+    return coeffs[: check_coefficients(coeffs, rows)]
 
 
 def backward_numerator(
@@ -178,18 +300,12 @@ def backward_numerator(
     operator in the first observable's eigenbasis, hence Hermitian and
     positive semidefinite as a matrix (Schur product of PSD factors).
     """
-    obs1 = stage1.observable
-    v = obs1.eigenvectors
-    effect_weights = _scaled_effect_weights(stage2, x2)
-    effect = np.einsum("g,gij->ij", effect_weights, stage2.observable.projectors)
-    rho_in_a = v.conj().T @ rho0.matrix @ v
-    effect_in_a = v.conj().T @ effect @ v
-    coeffs = rho_in_a * effect_in_a.T
-    lam = obs1.eigenvalues
-    grid_a, grid_b = np.meshgrid(lam, lam, indexing="ij")
-    return GaussianPairSum(
-        coeffs.ravel(), grid_a.ravel(), grid_b.ravel(), stage1.sigma
+    coeffs = _backward_coeffs(
+        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
+        _one(x2), FirstFailure(1),
     )
+    centers_a, centers_b = pair_centers(stage1.observable.eigenvalues)
+    return GaussianPairSum(coeffs[0], centers_a, centers_b, stage1.sigma)
 
 
 def backward_density(
@@ -199,19 +315,36 @@ def backward_density(
     x2: float,
 ) -> ConditionalDensity:
     """Density of the first outcome given the second: ``p(x1 | x2)``."""
-    require_same_dim(stage1.dim, stage2.dim, rho0.dim)
-    if not np.isfinite(x2):
-        raise ValueError(f"outcome must be finite, got {x2!r}")
     numerator = backward_numerator(rho0, stage1, stage2, x2)
     norm = numerator.moment(0)
-    if not np.isfinite(norm) or norm < 1e-300:
-        raise ZeroLikelihood(f"backward normalization {norm!r} too small")
+    check_normalization(_one(norm), FirstFailure(1), "backward")
     return ConditionalDensity(
         direction="backward",
         conditioned_on=float(x2),
         numerator=numerator,
         normalization=norm,
     )
+
+
+def backward_stats_rows(
+    rho0: DensityMatrix,
+    obs1: Observable,
+    sigma1: np.ndarray,
+    obs2: Observable,
+    sigma2: np.ndarray,
+    x2: np.ndarray,
+    rows: FirstFailure,
+) -> ConditionalStats:
+    """:func:`backward_stats` for ``B`` rows of (first width, second width, second outcome).
+
+    Widths must be finite and positive, as :class:`Pointer` enforces.
+    Returns array fields over the live rows of ``rows``; the caller raises
+    :meth:`FirstFailure.raise_first`.
+    """
+    coeffs = _backward_coeffs(rho0, obs1, sigma1, obs2, sigma2, x2, rows)
+    centers_a, centers_b = pair_centers(obs1.eigenvalues)
+    sigma = sigma1[: len(coeffs)]
+    return pair_rows_moments(coeffs, centers_a, centers_b, sigma, rows, "backward")[1]
 
 
 def backward_stats(
@@ -221,5 +354,7 @@ def backward_stats(
     x2: float,
 ) -> ConditionalStats:
     """Conditional mean/variance of the first outcome given the second."""
-    density = backward_density(rho0, stage1, stage2, x2)
-    return pair_sum_stats(density.numerator, stage1.sigma)
+    return _first_row(backward_stats_rows(
+        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
+        _one(x2), FirstFailure(1),
+    ))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, ZeroLikelihood
+from .errors import DimensionMismatch, FirstFailure, NoConvergence, NotHermitian, ZeroLikelihood
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -20,10 +20,15 @@ DEGENERACY_GAP_TOL = 1e-9
 VARIANCE_CLAMP = 1e-12
 
 
-def _as_square_complex(matrix) -> np.ndarray:
+def _as_square(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _as_square_complex(matrix) -> np.ndarray:
+    m = _as_square(matrix)
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix contains non-finite entries")
     return m
@@ -34,9 +39,56 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Largest entrywise deviation of ``matrix`` from its adjoint."""
-    return float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
+def hermiticity_defect(matrix: np.ndarray):
+    """Largest entrywise deviation of ``matrix`` from its adjoint.
+
+    A ``(B, d, d)`` stack gives one defect per matrix.
+    """
+    if not matrix.size:
+        return 0.0
+    deviation = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj())
+    if deviation.ndim == 2:
+        return float(deviation.max())
+    return deviation.reshape(len(deviation), -1).max(axis=-1)
+
+
+def check_states(
+    matrices: np.ndarray, rows: FirstFailure, herm_tol: float = HERMITICITY_TOL
+) -> int:
+    """State checks on a ``(B, d, d)`` stack, row by row: finite, Hermitian, PSD.
+
+    Returns the live row count of ``rows``; see :class:`FirstFailure`.
+    """
+    n = rows.check(
+        ~np.isfinite(matrices).all(axis=(-2, -1)),
+        lambda i: ValueError("matrix contains non-finite entries"),
+    )
+    if not matrices.shape[-1]:
+        return n
+    defect = hermiticity_defect(matrices[:n])
+    n = rows.check(
+        defect > herm_tol, lambda i: NotHermitian(f"max |rho - rho^dagger| = {defect[i]:.3e}")
+    )
+    min_eig = np.linalg.eigvalsh(matrices[:n])[:, 0]
+    return rows.check(
+        min_eig < -PSD_TOL,
+        lambda i: ValueError(f"state not positive semidefinite: min eigenvalue {min_eig[i]:.3e}"),
+    )
+
+
+def normalize_states(matrices: np.ndarray, rows: FirstFailure) -> np.ndarray:
+    """Unit-trace copies of a ``(B, d, d)`` stack of states, checked again.
+
+    Rows whose trace is not finite or below 1e-300 fail with
+    :class:`ZeroLikelihood`. Returns the live rows only.
+    """
+    t = np.trace(matrices, axis1=-2, axis2=-1).real
+    n = rows.check(
+        ~(np.isfinite(t) & (t >= 1e-300)),
+        lambda i: ZeroLikelihood(f"cannot normalize state with trace {t[i]:.3e}"),
+    )
+    normalized = matrices[:n] / t[:n, None, None]
+    return normalized[: check_states(normalized, rows)]
 
 
 def eigh(matrix, *, herm_tol: float = HERMITICITY_TOL):
@@ -188,13 +240,8 @@ class DensityMatrix:
     herm_tol: float = field(default=HERMITICITY_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_square_complex(self.matrix)
-        defect = hermiticity_defect(m)
-        if defect > self.herm_tol:
-            raise NotHermitian(f"max |rho - rho^dagger| = {defect:.3e}")
-        min_eig = float(np.linalg.eigvalsh(m)[0]) if m.size else 0.0
-        if min_eig < -PSD_TOL:
-            raise ValueError(f"state not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        m = _as_square(self.matrix)
+        check_states(m[None], FirstFailure(1), self.herm_tol)
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property
@@ -226,10 +273,7 @@ class DensityMatrix:
         ZeroLikelihood
             If the trace is too small to normalize against.
         """
-        t = float(np.trace(self.matrix).real)
-        if not np.isfinite(t) or t < 1e-300:
-            raise ZeroLikelihood(f"cannot normalize state with trace {t:.3e}")
-        return DensityMatrix(self.matrix / t)
+        return DensityMatrix(normalize_states(self.matrix[None], FirstFailure(1))[0])
 
     @classmethod
     def from_matrix(cls, matrix, *, require_normalized: bool = True) -> "DensityMatrix":
@@ -274,6 +318,20 @@ class PureState:
 
     def overlap_with(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+
+def level_weights(projectors: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Real parts of ``Tr[P_g rho]`` for every level and every row of a state stack.
+
+    Returns ``(B, L)`` for ``(L, d, d)`` projectors and ``(B, d, d)`` states.
+    Each product is rounded on its own and the sums run left to right,
+    row index outer, column index inner: the rounding of
+    ``einsum("gij,ji->g", P, rho)`` for each state.
+    """
+    swapped = np.swapaxes(states, -1, -2)[:, None]
+    terms = projectors.real * swapped.real - projectors.imag * swapped.imag
+    row_sums = np.cumsum(terms, axis=-1)[..., -1]
+    return 0.0 + np.cumsum(row_sums, axis=-1)[..., -1]
 
 
 def require_same_dim(*dims: int) -> None:

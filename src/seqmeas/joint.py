@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Observable, require_same_dim, variance_of
+from .core import DensityMatrix, Observable, check_states, level_weights, require_same_dim, variance_of
+from .errors import FirstFailure
 from .kraus import MeasurementStage
 
 
@@ -38,14 +39,18 @@ def post_first_state(rho0: DensityMatrix, stage1: MeasurementStage) -> DensityMa
     coherences decay, the diagonal (and hence the trace) is untouched.
     An eigenstate of the observable passes through unchanged.
     """
-    obs = stage1.observable
-    require_same_dim(obs.dim, rho0.dim)
+    require_same_dim(stage1.dim, rho0.dim)
+    return DensityMatrix(_post_first_matrices(rho0, stage1.observable, np.array([stage1.sigma]))[0])
+
+
+def _post_first_matrices(rho0: DensityMatrix, obs: Observable, sigmas: np.ndarray) -> np.ndarray:
+    # one dephased state per width, as a (B, d, d) stack
     v = obs.eigenvectors
     lam = obs.eigenvalues
     diff = lam[:, None] - lam[None, :]
-    decay = np.exp(-(diff * diff) / (8.0 * stage1.sigma * stage1.sigma))
+    decay = np.exp(-(diff * diff) / (8.0 * sigmas * sigmas)[:, None, None])
     rotated = v.conj().T @ rho0.matrix @ v
-    return DensityMatrix(v @ (decay * rotated) @ v.conj().T)
+    return v @ (decay * rotated) @ v.conj().T
 
 
 def pointer1_variance(rho0: DensityMatrix, stage1: MeasurementStage) -> float:
@@ -65,12 +70,31 @@ def backaction_variance(
     Computed from the spectral weights of ``observable_b`` on the dephased
     state, so tests can pit it against the generic matrix-product variance.
     """
-    require_same_dim(stage1.dim, observable_b.dim, rho0.dim)
-    rho1 = post_first_state(rho0, stage1)
-    weights = np.einsum("gij,ji->g", observable_b.projectors, rho1.matrix).real
-    mean = float(np.dot(observable_b.levels, weights))
-    second = float(np.dot(observable_b.levels**2, weights))
-    return max(second - mean * mean, 0.0)
+    rows = FirstFailure(1)
+    return float(backaction_variance_rows(rho0, stage1.observable, np.array([stage1.sigma]), observable_b, rows)[0])
+
+
+def backaction_variance_rows(
+    rho0: DensityMatrix,
+    obs1: Observable,
+    sigma1: np.ndarray,
+    observable_b: Observable,
+    rows: FirstFailure,
+) -> np.ndarray:
+    """:func:`backaction_variance` for a ``(B,)`` column of first-stage widths.
+
+    Widths must be finite and positive, as :class:`Pointer` enforces.
+    Returns the variances of the live rows of ``rows``; the caller raises
+    :meth:`FirstFailure.raise_first`.
+    """
+    require_same_dim(obs1.dim, observable_b.dim, rho0.dim)
+    states = _post_first_matrices(rho0, obs1, sigma1)
+    n = check_states(states, rows)
+    weights = level_weights(observable_b.projectors, states[:n])
+    mean = (weights * observable_b.levels).sum(axis=-1)
+    second = (weights * observable_b.levels**2).sum(axis=-1)
+    variance = second - mean * mean
+    return np.where(0.0 > variance, 0.0, variance)
 
 
 def pointer2_variance(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Observable
 from .errors import QuadratureFailure
-from .pointer import Pointer, amplitude, log_amplitude
+from .pointer import Pointer, amplitude, log_amplitude_at
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,31 @@ def scaled_kraus_weights(stage: MeasurementStage, x: float) -> tuple[np.ndarray,
     Returns ``(weights, log_scale)`` with true amplitudes
     ``exp(log_scale) * weights``; keeps far-outcome chains representable.
     """
-    logs = log_amplitude(stage.pointer, x, stage.observable.levels)
-    top = float(np.max(logs))
-    return np.exp(logs - top), top
+    weights, top = scaled_weight_rows(stage.observable.levels, np.array([stage.sigma]), np.array([x]))
+    return weights[0], float(top[0])
+
+
+def scaled_weight_rows(levels, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`scaled_kraus_weights` for ``B`` (width, outcome) rows at once.
+
+    Returns ``(B, L)`` weights whose row maximum is one and the ``(B,)``
+    log scales.
+    """
+    logs = log_amplitude_at(sigmas[:, None], xs[:, None], levels)
+    top = logs.max(axis=-1)
+    return np.exp(logs - top[:, None]), top
+
+
+def projector_sums(projectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Operators ``sum_g weights[b, g] P_g`` as a ``(B, d, d)`` stack.
+
+    Accumulates from zero in level order, the rounding of
+    ``einsum("g,gij->ij", w, P)`` for each row.
+    """
+    out = np.zeros((weights.shape[0],) + projectors.shape[1:], dtype=complex)
+    for g, projector in enumerate(projectors):
+        out += weights[:, g, None, None] * projector
+    return out
 
 
 def kraus_at(stage: MeasurementStage, x: float) -> KrausOperator:
@@ -75,14 +97,14 @@ def kraus_at(stage: MeasurementStage, x: float) -> KrausOperator:
     exceeds the peak amplitude ``amplitude(sigma, 0, 0)``.
     """
     w = amplitude(stage.pointer, x, stage.observable.levels)
-    matrix = np.einsum("g,gij->ij", w, stage.observable.projectors)
+    matrix = projector_sums(stage.observable.projectors, w[None])[0]
     return KrausOperator(matrix=matrix, outcome=float(x))
 
 
 def effect_at(stage: MeasurementStage, x: float) -> EffectOperator:
     """Effect operator ``sum_a psi(x - a)^2 P_a``; equals ``M^dagger M``."""
     w = amplitude(stage.pointer, x, stage.observable.levels) ** 2
-    matrix = np.einsum("g,gij->ij", w, stage.observable.projectors)
+    matrix = projector_sums(stage.observable.projectors, w[None])[0]
     return EffectOperator(matrix=matrix, outcomes=(float(x),))
 
 
@@ -113,5 +135,5 @@ def completeness_defect(stage: MeasurementStage, cfg=None, domain=None) -> float
         quad_moment(lambda x, a=a: float(amplitude(stage.pointer, x, a) ** 2), (lo, hi), 0, cfg)
         for a in stage.observable.levels
     ]
-    total = np.einsum("g,gij->ij", np.asarray(weights), stage.observable.projectors)
+    total = projector_sums(stage.observable.projectors, np.asarray(weights)[None])[0]
     return float(np.max(np.abs(total - np.eye(stage.dim))))

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidOrder, NonHermitianSum
+from .errors import FirstFailure, InvalidOrder, NonHermitianSum
 
 #: Relative imaginary residue above which a pair-sum moment is rejected.
 HERMITIAN_RESIDUE_TOL = 1e-8
@@ -49,7 +49,12 @@ def amplitude(pointer: Pointer, x, a):
 
 def log_amplitude(pointer: Pointer, x, a):
     """Natural log of :func:`amplitude`; safe for outcomes far from ``a``."""
-    s2 = pointer.sigma * pointer.sigma
+    return log_amplitude_at(pointer.sigma, x, a)
+
+
+def log_amplitude_at(sigma, x, a):
+    """:func:`log_amplitude` for a width (or broadcastable array of widths)."""
+    s2 = sigma * sigma
     return -0.25 * np.log(2.0 * np.pi * s2) - ((np.asarray(x) - a) ** 2) / (4.0 * s2)
 
 
@@ -110,8 +115,7 @@ class GaussianPairSum:
             raise ValueError(f"field lengths disagree: {shapes}")
         if np.any(self.sigmas <= 0.0) or not np.all(np.isfinite(self.sigmas)):
             raise ValueError("all sigmas must be finite and positive")
-        if not np.all(np.isfinite(self.coeffs.view(float))):
-            raise ValueError("coefficients must be finite")
+        check_coefficients(self.coeffs[None], FirstFailure(1))
         for arr in (self.coeffs, self.centers_a, self.centers_b, self.sigmas):
             arr.setflags(write=False)
 
@@ -140,10 +144,6 @@ class GaussianPairSum:
             for c, a, b, s in zip(self.coeffs, self.centers_a, self.centers_b, self.sigmas)
         ]
 
-    def _overlaps(self) -> np.ndarray:
-        d = self.centers_a - self.centers_b
-        return np.exp(-(d * d) / (8.0 * self.sigmas * self.sigmas))
-
     def value(self, x):
         """Pointwise value of the sum; real by Hermitian symmetry."""
         x = np.asarray(x, dtype=float)
@@ -154,31 +154,16 @@ class GaussianPairSum:
         out = (self.coeffs * gauss).sum(axis=-1)
         return out.real if out.ndim else float(out.real)
 
-    def _moment_terms(self, n: int) -> np.ndarray:
-        if n not in (0, 1, 2):
-            raise InvalidOrder(f"moment order must be 0, 1 or 2, got {n!r}")
-        d = self._overlaps()
-        mu = 0.5 * (self.centers_a + self.centers_b)
-        if n == 0:
-            base = np.ones_like(mu)
-        elif n == 1:
-            base = mu
-        else:
-            base = mu * mu + self.sigmas * self.sigmas
-        return self.coeffs * d * base
-
-    def _reduce_real(self, contributions: np.ndarray) -> float:
-        total = complex(contributions.sum())
-        scale = float(np.abs(contributions).sum())
-        if abs(total.imag) > HERMITIAN_RESIDUE_TOL * max(scale, 1e-300):
-            raise NonHermitianSum(
-                f"imaginary residue {total.imag:.3e} against scale {scale:.3e}"
-            )
-        return float(total.real)
-
     def moment(self, n: int) -> float:
         """Moment ``int x^n * value(x) dx`` of the (unnormalized) sum."""
-        return self._reduce_real(self._moment_terms(n))
+        return self._moment(n)
+
+    def _moment(self, n) -> float:
+        # the (1, T) terms of one order are a one-row batch
+        terms = moment_terms(self.coeffs, self.centers_a, self.centers_b, self.sigmas, (n,))
+        totals, scales = moment_sums(terms)
+        check_residue(totals, scales, FirstFailure(1))
+        return float(totals.real[0])
 
     def center_second_moment(self) -> float:
         """Like ``moment(2)`` but without the per-term ``sigma^2`` offset.
@@ -187,9 +172,62 @@ class GaussianPairSum:
         so conditional variances can be extracted without subtracting two
         nearly equal numbers.
         """
-        d = self._overlaps()
-        mu = 0.5 * (self.centers_a + self.centers_b)
-        return self._reduce_real(self.coeffs * d * mu * mu)
+        return self._moment(CENTERS)
+
+
+#: Moment order of :func:`moment_terms` for the center spread alone: the
+#: second moment without the per-term ``sigma^2`` offset.
+CENTERS = "centers"
+
+
+def check_coefficients(coeffs: np.ndarray, rows: FirstFailure) -> int:
+    """The finite-coefficient check of a pair sum on ``(B, T)`` rows; returns live rows."""
+    return rows.check(
+        ~np.isfinite(coeffs).all(axis=-1), lambda i: ValueError("coefficients must be finite")
+    )
+
+
+def moment_terms(coeffs, centers_a, centers_b, sigmas, orders) -> np.ndarray:
+    """Per-term contributions to each moment in ``orders`` (0, 1, 2 or :data:`CENTERS`).
+
+    ``coeffs`` may carry a leading batch axis; centers are shared by every
+    row and ``sigmas`` broadcasts against the coefficients. Returns one
+    stacked array with the orders along the first axis.
+    """
+    for n in orders:
+        if n not in (0, 1, 2, CENTERS):
+            raise InvalidOrder(f"moment order must be 0, 1 or 2, got {n!r}")
+    d = centers_a - centers_b
+    weighted = coeffs * np.exp(-(d * d) / (8.0 * sigmas * sigmas))
+    mu = 0.5 * (centers_a + centers_b)
+    first = weighted * mu
+    terms = []
+    for n in orders:
+        if n == 0:
+            terms.append(weighted * np.ones_like(mu))
+        elif n == 1:
+            terms.append(first)
+        elif n == 2:
+            terms.append(weighted * (mu * mu + sigmas * sigmas))
+        else:
+            terms.append(first * mu)
+    return np.stack(terms)
+
+
+def moment_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex sums of moment terms over their last axis, and absolute scales."""
+    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+
+
+def check_residue(totals: np.ndarray, scales: np.ndarray, rows: FirstFailure) -> int:
+    """Reject rows whose moment has an imaginary part above :data:`HERMITIAN_RESIDUE_TOL`
+    of its scale, with :class:`NonHermitianSum`; returns live rows."""
+    return rows.check(
+        np.abs(totals.imag) > HERMITIAN_RESIDUE_TOL * np.maximum(scales, 1e-300),
+        lambda i: NonHermitianSum(
+            f"imaginary residue {totals.imag[i]:.3e} against scale {scales[i]:.3e}"
+        ),
+    )
 
 
 def sum_moment(s: GaussianPairSum, n: int) -> float:

@@ -4,8 +4,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqmeas import (
+    ChainQuery,
+    MeasurementChain,
+    MeasurementStage,
+    Pointer,
+    backaction_variance,
+    backward_stats,
+    conditional_stats_k,
+    forward_stats,
+    spin,
+)
+from seqmeas.chain import conditional_stats_rows
 from seqmeas.cli import main, parse_chain_config
-from seqmeas.errors import ConfigParseError
+from seqmeas.errors import (
+    ConfigParseError,
+    FirstFailure,
+    SeqMeasError,
+    VarianceInconsistency,
+    ZeroLikelihood,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 CHAIN4 = REPO / "configs" / "chain4.json"
@@ -66,6 +84,11 @@ class TestFig3:
         by_key = {(round(x, 9), round(s, 9)): c for x, s, c, _ in rows}
         for (x1, s1), value in by_key.items():
             assert abs(value - by_key[(-x1, s1)]) < 1e-12
+
+
+    def test_nonpositive_sigma2_is_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            main(["fig3", "--sigma2", "0"])
 
 
 class TestFig4:
@@ -158,20 +181,196 @@ class TestChainCommand:
             parse_chain_config(payload)
 
 
-class TestThreadedSweeps:
-    def test_env_var_caps_workers_and_preserves_order(self, capsys, monkeypatch):
-        code, serial, _ = run_cli(capsys, "fig3", "--x1-steps", "9", "--sigma1-steps", "3")
-        assert code == 0
-        monkeypatch.setenv("SEQMEAS_THREADS", "4")
-        code, threaded, _ = run_cli(capsys, "fig3", "--x1-steps", "9", "--sigma1-steps", "3")
-        assert code == 0
-        assert serial == threaded
+R2 = 2**-0.5
+SPIN1_Z = [[1, 0, 0], [0, 0, 0], [0, 0, -1]]
+SPIN1_X = [[0, R2, 0], [R2, 0, R2], [0, R2, 0]]
+QUTRIT_CHAIN = {
+    "dim": 3,
+    "initial_state": [[0.5, 0.1, 0.0], [0.1, 0.3, [0.0, 0.05]], [0.0, [0.0, -0.05], 0.2]],
+    "stages": [
+        {"observable": SPIN1_Z, "sigma": 0.6},
+        {"observable": SPIN1_X, "sigma": 0.8},
+        {"observable": SPIN1_Z, "sigma": 1.5},
+        {"observable": SPIN1_X, "sigma": 2.0},
+    ],
+    "query": {"free_index": 2, "fixed_outcomes": [0.4, -0.3, 0.2]},
+}
 
-    def test_garbage_env_var_falls_back_to_serial(self, capsys, monkeypatch):
-        monkeypatch.setenv("SEQMEAS_THREADS", "many")
-        code, out, _ = run_cli(capsys, "fig2", "--steps", "4")
+
+def csv_cells(text):
+    body = [line for line in text.splitlines() if line and not line.startswith("#")]
+    return [line.split(",") for line in body[1:]]
+
+
+def cells_of(*values):
+    return [repr(float(v)) for v in values]
+
+
+def write_config(tmp_path, payload, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def swept_case(chain, query, path, value):
+    """The chain and query of one sweep row, built from public scalar objects."""
+    if path.startswith("stages."):
+        index = int(path.split(".")[1])
+        stages = list(chain.stages)
+        stages[index] = MeasurementStage(stages[index].observable, Pointer(value))
+        return MeasurementChain(tuple(stages), chain.initial_state), query
+    fixed = list(query.fixed_outcomes)
+    fixed[int(path.rsplit(".", 1)[1])] = value
+    return chain, ChainQuery(query.free_index, tuple(fixed))
+
+
+class TestBatchedSweepsMatchLoop:
+    """Every CSV cell of a batched sweep equals a row-by-row loop of scalar calls, bit for bit."""
+
+    def test_fig2(self, capsys):
+        code, out, _ = run_cli(capsys, "fig2", "--steps", "37")
         assert code == 0
-        assert len(parse_csv(out)[2]) == 4
+        rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
+        expected = [
+            cells_of(s, spin.var_sx_rho1_closed(s), backaction_variance(rho0, MeasurementStage(sz, Pointer(s)), sx))
+            for s in np.geomspace(0.01, 100.0, 37).tolist()
+        ]
+        assert csv_cells(out) == expected
+
+    def test_fig3(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fig3", "--x1-steps", "9", "--sigma1-steps", "4", "--sigma2", "0.7"
+        )
+        assert code == 0
+        rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
+        expected = [
+            cells_of(
+                x1, s1, spin.var_sx_given_sz_closed(s1, x1),
+                forward_stats(
+                    rho0, MeasurementStage(sz, Pointer(s1)), MeasurementStage(sx, Pointer(0.7)), x1
+                ).extracted_system_variance,
+            )
+            for s1 in np.geomspace(0.05, 1.0, 4).tolist()
+            for x1 in np.linspace(-1.0, 1.0, 9).tolist()
+        ]
+        assert csv_cells(out) == expected
+
+    def test_fig4(self, capsys):
+        code, out, _ = run_cli(capsys, "fig4", "--x2-steps", "9", "--sigma2-steps", "4")
+        assert code == 0
+        rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
+        stage1 = MeasurementStage(sz, Pointer(1e3))
+        expected = [
+            cells_of(
+                x2, s2, spin.var_sz_given_sx_closed(1e3, s2, x2),
+                backward_stats(rho0, stage1, MeasurementStage(sx, Pointer(s2)), x2).extracted_system_variance,
+            )
+            for s2 in np.geomspace(0.1, 2.0, 4).tolist()
+            for x2 in np.linspace(-1.0, 1.0, 9).tolist()
+        ]
+        assert csv_cells(out) == expected
+
+    @pytest.mark.parametrize(
+        "path,lo,hi", [("query.fixed_outcomes.1", -1.0, 1.0), ("stages.2.sigma", 1.0, 3.0)]
+    )
+    def test_qutrit_chain_mid_free_index(self, capsys, tmp_path, path, lo, hi):
+        payload = dict(QUTRIT_CHAIN, sweep={"path": path, "min": lo, "max": hi, "steps": 7})
+        code, out, _ = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert code == 0
+        chain, query, _ = parse_chain_config(QUTRIT_CHAIN)
+        expected = []
+        for value in np.linspace(lo, hi, 7).tolist():
+            result = conditional_stats_k(*swept_case(chain, query, path, value))
+            expected.append(cells_of(value, result.mean, result.variance, result.extracted_variance))
+        assert csv_cells(out) == expected
+
+
+FORWARD_CHAIN4 = dict(
+    json.loads(CHAIN4.read_text()), query={"free_index": 4, "fixed_outcomes": [0.3, 0.1, -0.4]}
+)
+
+
+class TestSweepFailures:
+    """A failing sweep raises what a row-by-row loop raises first: same row, same type."""
+
+    @pytest.mark.parametrize(
+        "base,lo,hi,steps,error",
+        [
+            # a forward query crosses the outcome cutoff at row 9
+            (FORWARD_CHAIN4, -2.0, 10.0, 13, ZeroLikelihood),
+            # a post-selected query turns its extracted variance negative at row 12
+            (json.loads(CHAIN4.read_text()), -1.0, 1.0, 21, VarianceInconsistency),
+            # the clamp fails at row 2 and the cutoff from row 8: the earlier row wins
+            (json.loads(CHAIN4.read_text()), -1.0, 10.0, 12, VarianceInconsistency),
+        ],
+    )
+    def test_first_failing_row_matches_loop(self, capsys, tmp_path, base, lo, hi, steps, error):
+        path = "query.fixed_outcomes.1"
+        values = np.linspace(lo, hi, steps)
+        chain, query, _ = parse_chain_config(base)
+        failed = None
+        for i, value in enumerate(values.tolist()):
+            try:
+                conditional_stats_k(*swept_case(chain, query, path, value))
+            except SeqMeasError as exc:
+                failed = (i, type(exc))
+                break
+        assert failed is not None and failed[1] is error and failed[0] > 0
+
+        fixed = np.repeat([query.fixed_outcomes], steps, axis=0)
+        fixed[:, 1] = values
+        sigmas = np.repeat([[stage.sigma for stage in chain.stages]], steps, axis=0)
+        rows = FirstFailure(steps)
+        with pytest.raises(error) as info:
+            conditional_stats_rows(chain, query.free_index, fixed, sigmas, rows)
+            rows.raise_first()
+        assert info.value.row == failed[0]
+
+        payload = dict(base, sweep={"path": path, "min": lo, "max": hi, "steps": steps})
+        code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert code == 1
+        assert out == ""
+        assert f"{path} = {float(values[failed[0]])!r}:" in err
+
+    def test_width_sweep_through_zero_is_a_config_error(self, capsys, tmp_path):
+        payload = json.loads(CHAIN4.read_text())
+        payload["sweep"] = {"path": "stages.2.sigma", "min": -1.0, "max": 1.0, "steps": 5}
+        code, _, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert code == 2
+        assert "stages[2].sigma: expected a positive number, got -1.0" in err
+
+
+class TestSweepPath:
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "stages.0.observable.0.0",
+            "query.fixed_outcomes.3",
+            "query.fixed_outcomes.-1",
+            "stages.4.sigma",
+            "stages.0.label",
+            "dim",
+            7,
+        ],
+    )
+    def test_unsupported_path_is_rejected(self, capsys, tmp_path, path):
+        payload = json.loads(CHAIN4.read_text())
+        payload["sweep"] = {"path": path, "min": 0.1, "max": 1.0, "steps": 3}
+        with pytest.raises(ConfigParseError, match=r"sweep\.path"):
+            parse_chain_config(payload)
+        code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert code == 2
+        assert out == ""
+        assert "sweep.path" in err
+
+    @pytest.mark.parametrize(
+        "path,index,sets_sigma", [("query.fixed_outcomes.2", 2, False), ("stages.3.sigma", 3, True)]
+    )
+    def test_supported_paths_resolve_at_parse_time(self, path, index, sets_sigma):
+        payload = json.loads(CHAIN4.read_text())
+        payload["sweep"] = {"path": path, "min": 0.1, "max": 1.0, "steps": 3}
+        _, _, sweep = parse_chain_config(payload)
+        assert (sweep.path, sweep.index, sweep.sets_sigma) == (path, index, sets_sigma)
 
 
 class TestValidateCommand:
