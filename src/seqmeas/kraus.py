@@ -132,7 +132,7 @@ def completeness_defect(stage: MeasurementStage, cfg=None, domain=None) -> float
     if not lo < hi:
         raise QuadratureFailure(f"empty quadrature domain ({lo}, {hi})")
     weights = [
-        quad_moment(lambda x, a=a: float(amplitude(stage.pointer, x, a) ** 2), (lo, hi), 0, cfg)
+        quad_moment(lambda x, a=a: amplitude(stage.pointer, x, a) ** 2, (lo, hi), 0, cfg)
         for a in stage.observable.levels
     ]
     total = projector_sums(stage.observable.projectors, np.asarray(weights)[None])[0]

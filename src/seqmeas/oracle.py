@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .chain import ChainQuery, MeasurementChain, chain_state, conditional_density_k
 from .errors import QuadratureFailure, RejectionStall
@@ -59,8 +58,127 @@ def make_rng(cfg: SamplerConfig) -> np.random.Generator:
     return np.random.default_rng(cfg.seed)
 
 
+# QUADPACK's qk21 rule (Piessens et al., QUADPACK, 1983): Kronrod
+# abscissae on [0, 1] in descending order, ending at the centre, with their
+# Kronrod weights and the weights of the 10-point Gauss rule, which uses
+# every second abscissa.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+    0.0,
+])
+
+
+def _mirror(half: np.ndarray, sign: float) -> np.ndarray:
+    # 21 entries over the ascending nodes, from the 11 of the [0, 1] half
+    return np.concatenate([sign * half[:-1], half[::-1]])
+
+
+_GK_NODES = _mirror(_XGK, -1.0)
+_GK_KRONROD = _mirror(_WGK, 1.0)
+_GK_GAUSS = _mirror(_WG, 1.0)
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _panel_edges(domain: tuple[float, float], points) -> np.ndarray:
+    lo, hi = float(domain[0]), float(domain[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise QuadratureFailure(f"empty or unbounded domain ({lo}, {hi})")
+    interior = np.asarray([] if points is None else points, dtype=float)
+    interior = np.unique(interior[(interior > lo) & (interior < hi)])
+    return np.concatenate([[lo], interior, [hi]])
+
+
+def _gk21(f, lo: np.ndarray, hi: np.ndarray):
+    """qk21 on every panel at once: (integrals, error estimates, roundoff floors), shape (3, m, P)."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
+    flat = x.ravel()
+    # chunks bound the integrand's temporaries when many panels split at once
+    fv = np.concatenate(
+        [f(flat[i : i + _CHUNK]) for i in range(0, flat.size, _CHUNK)], axis=-1
+    ).reshape(-1, *x.shape)
+    if not np.isfinite(fv).all():
+        bad = flat[~np.isfinite(fv).all(axis=0).ravel()][0]
+        raise QuadratureFailure(f"integrand is not finite at x = {bad:.6e}")
+    with np.errstate(all="ignore"):
+        resk = fv @ _GK_KRONROD
+        err = np.abs(resk - fv @ _GK_GAUSS) * half
+        resabs = np.abs(fv) @ _GK_KRONROD * half
+        resasc = np.abs(fv - 0.5 * resk[..., None]) @ _GK_KRONROD * half
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+    return np.stack([resk * half, np.maximum(err, floor), floor])
+
+
+def _integrate(f, edges: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    """Integrals of the m rows of ``f`` over ``[edges[0], edges[-1]]``.
+
+    ``f`` maps N nodes to an (m, N) array. All rows share one adaptive
+    panel set: each round evaluates the 21 nodes of every new panel in one
+    call, then bisects the panels with the largest error, relative to each
+    row's target ``max(abs_tol, 1e-11 |value|)``, until every row meets
+    its target or the panel count reaches ``cfg.max_subdivisions``.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    panels = _gk21(f, lo, hi)
+    while True:
+        res, err, floor = panels
+        value, estimate = res.sum(axis=1), err.sum(axis=1)
+        if not (np.isfinite(value).all() and np.isfinite(estimate).all()):
+            raise QuadratureFailure(f"non-finite integral {value} with error estimate {estimate}")
+        target = np.maximum(cfg.abs_tol, 1e-11 * np.abs(value))
+        if (estimate <= target).all():
+            break
+        # a panel at its roundoff floor gains nothing from bisection
+        score = np.where(err > floor, err / target[:, None], 0.0).max(axis=0)
+        order = np.argsort(-score, kind="stable")[: max(cfg.max_subdivisions - lo.size, 0)]
+        order = order[score[order] > 0.0]
+        if order.size == 0:
+            break
+        # largest first, until what stays unsplit is within half of every target
+        unsplit = score.sum() - np.cumsum(score[order])
+        split = order[: int((unsplit > 0.5).sum()) + 1]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        panels = np.concatenate([panels[..., keep], _gk21(f, new_lo, new_hi)], axis=-1)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+    missed = estimate > np.maximum(cfg.abs_tol, 1e-10 * np.abs(value))
+    if missed.any():
+        k = int(np.argmax(missed))
+        raise QuadratureFailure(
+            f"error estimate {estimate[k]:.3e} exceeds tolerance for value {value[k]:.6e}"
+        )
+    return value
+
+
 def quad_moment(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     domain: tuple[float, float],
     n: int,
     cfg: QuadratureConfig = QuadratureConfig(),
@@ -68,38 +186,25 @@ def quad_moment(
 ) -> float:
     """Adaptive quadrature of ``x^n f(x)`` over a finite domain.
 
-    ``points`` marks interior breakpoints (typically the eigenvalues) so
-    narrow Gaussian peaks are not stepped over.
+    ``f`` is called on a 1-D array of nodes and must return an array of
+    the same shape. ``points`` marks interior breakpoints (typically the
+    eigenvalues) so narrow Gaussian peaks are not stepped over.
 
     Raises
     ------
     QuadratureFailure
-        If the error estimate misses both the absolute tolerance and a
-        1e-10 relative floor at the subdivision cap.
+        If the integrand or the result is not finite, or if the error
+        estimate misses both the absolute tolerance and a 1e-10 relative
+        floor at the subdivision cap.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise QuadratureFailure(f"empty domain ({lo}, {hi})")
+    edges = _panel_edges(domain, points)
     if n not in (0, 1, 2):
         raise ValueError(f"moment order must be 0, 1 or 2, got {n!r}")
-    interior = None
-    if points is not None:
-        interior = [p for p in points if lo < p < hi]
-        interior = interior or None
-    value, estimate = integrate.quad(
-        lambda x: (x**n) * f(x),
-        lo,
-        hi,
-        epsabs=cfg.abs_tol,
-        epsrel=1e-11,
-        limit=cfg.max_subdivisions,
-        points=interior,
-    )
-    if estimate > max(cfg.abs_tol, 1e-10 * abs(value)):
-        raise QuadratureFailure(
-            f"error estimate {estimate:.3e} exceeds tolerance for value {value:.6e}"
-        )
-    return float(value)
+
+    def integrand(x):
+        return (x**n * np.broadcast_to(np.asarray(f(x), dtype=float), x.shape))[None]
+
+    return float(_integrate(integrand, edges, cfg)[0])
 
 
 def pair_sum_domain(s: GaussianPairSum, pad_sigmas: float = 10.0) -> tuple[float, float]:
@@ -112,15 +217,21 @@ def pair_sum_domain(s: GaussianPairSum, pad_sigmas: float = 10.0) -> tuple[float
 def quad_pair_sum_stats(
     s: GaussianPairSum, cfg: QuadratureConfig = QuadratureConfig()
 ) -> tuple[float, float, float]:
-    """(normalization, mean, variance) of a pair sum by quadrature only."""
-    domain = pair_sum_domain(s, cfg.domain_pad)
-    pts = sorted(set(np.concatenate([s.centers_a, s.centers_b]).tolist()))
-    moments = [
-        quad_moment(lambda x: float(s.value(x)), domain, n, cfg, points=pts) for n in (0, 1, 2)
-    ]
-    norm = moments[0]
-    mean = moments[1] / norm
-    return norm, mean, moments[2] / norm - mean * mean
+    """(normalization, mean, variance) of a pair sum by quadrature only.
+
+    The moments 0, 1 and 2 share one adaptive pass, with breakpoints at
+    the pair centers; only ``s.value`` is used, never the moment formulas.
+    """
+    centers = np.concatenate([s.centers_a, s.centers_b])
+    edges = _panel_edges(pair_sum_domain(s, cfg.domain_pad), centers)
+
+    def moments(x):
+        v = s.value(x)
+        return np.stack([v, x * v, x**2 * v])
+
+    norm, first, second = (float(m) for m in _integrate(moments, edges, cfg))
+    mean = first / norm
+    return norm, mean, second / norm - mean * mean
 
 
 def _pick_components(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:

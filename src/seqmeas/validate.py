@@ -66,7 +66,7 @@ def _suite_pointer(seed: int, trials: int) -> list[CheckResult]:
         analytic = pair_moment(p, a, b, n)
         pair = GaussianPairSum([1.0], [a], [b], p.sigma)
         numeric = quad_moment(
-            lambda x: float(pair.value(x)),
+            pair.value,
             pair_sum_domain(pair, cfg.domain_pad),
             n,
             cfg,

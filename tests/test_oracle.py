@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import integrate
+
+import seqmeas
 
 from seqmeas import (
     ChainQuery,
@@ -14,6 +22,7 @@ from seqmeas import (
     sample_chain,
 )
 from seqmeas import spin
+from seqmeas.chain import conditional_density_k
 from seqmeas.errors import QuadratureFailure
 from seqmeas.oracle import jackknife_variance_se, pair_sum_domain, quad_pair_sum_stats
 from seqmeas.pointer import GaussianPairSum, Pointer as _P, pair_moment
@@ -32,7 +41,7 @@ class TestQuadMoment:
             n = int(rng.integers(0, 3))
             s = GaussianPairSum([1.0], [a], [b], sigma)
             numeric = quad_moment(
-                lambda x: float(s.value(x)), pair_sum_domain(s), n, points=[a, b]
+                s.value, pair_sum_domain(s), n, points=[a, b]
             )
             analytic = pair_moment(_P(sigma), a, b, n)
             assert abs(numeric - analytic) <= 1e-8 * max(1.0, abs(analytic))
@@ -42,7 +51,7 @@ class TestQuadMoment:
 
         density = forward_density(plus, sz_stage(0.5), sx_stage(0.5), 0.4)
         total = quad_moment(
-            lambda x: float(density.pdf(x)), (-15, 15), 0, points=[-0.5, 0.5]
+            density.pdf, (-15, 15), 0, points=[-0.5, 0.5]
         )
         assert abs(total - 1.0) < 1e-8
 
@@ -55,6 +64,86 @@ class TestQuadMoment:
             QuadratureConfig(domain_pad=2.0)
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            quad_moment(lambda x: np.where(x > 0, np.nan, 1.0), (-1, 1), 0)
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            quad_moment(lambda x: np.where(x > 0.3, np.inf, 0.0), (-1, 1), 1)
+
+    def test_non_finite_result_raises(self):
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            quad_moment(lambda x: np.full_like(x, 1e308), (-1e10, 1e10), 0)
+
+    def test_subdivision_cap_raises(self):
+        step = lambda x: np.where(x > 0.3, 1.0, 0.0)
+        with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
+            quad_moment(step, (-1, 1), 0, QuadratureConfig(max_subdivisions=4))
+
+
+def _quadpack_moment(f, domain, n, points, cfg=QuadratureConfig()):
+    # scalar QUADPACK reference with the oracle's tolerances
+    lo, hi = domain
+    interior = sorted({p for p in points if lo < p < hi}) or None
+    value, _ = integrate.quad(
+        lambda x: x**n * float(f(x)), lo, hi, epsabs=cfg.abs_tol, epsrel=1e-11,
+        limit=cfg.max_subdivisions, points=interior,
+    )
+    return value
+
+
+def _close_to_quadpack(value, ref):
+    # the sum of both integrators' failure floors
+    return abs(value - ref) <= 2 * max(1e-10, 1e-10 * abs(ref))
+
+
+class TestQuadpackCrossCheck:
+    def test_pair_moments(self, rng):
+        for _ in range(30):
+            sigma = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
+            a, b = rng.uniform(-2, 2, size=2)
+            s = GaussianPairSum([1.0], [a], [b], sigma)
+            for n in (0, 1, 2):
+                ref = _quadpack_moment(s.value, pair_sum_domain(s), n, [a, b])
+                assert _close_to_quadpack(quad_moment(s.value, pair_sum_domain(s), n, points=[a, b]), ref)
+
+    def test_chain_conditional_stats(self, rng):
+        for _ in range(20):
+            dim, n_stages = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            stages = tuple(
+                MeasurementStage(
+                    random_observable(rng, dim),
+                    Pointer(float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))),
+                )
+                for _ in range(n_stages)
+            )
+            chain = MeasurementChain(stages, random_density(rng, dim))
+            free = int(rng.integers(1, n_stages + 1))
+            # each fixed outcome lands near one of its stage's eigenvalues
+            fixed = tuple(
+                float(rng.choice(st.observable.eigenvalues) + st.sigma * rng.standard_normal())
+                for j, st in enumerate(stages)
+                if j + 1 != free
+            )
+            density, _ = conditional_density_k(chain, ChainQuery(free, fixed))
+            m0, m1, m2 = (
+                _quadpack_moment(
+                    density.value, pair_sum_domain(density), n,
+                    np.concatenate([density.centers_a, density.centers_b]),
+                )
+                for n in (0, 1, 2)
+            )
+            ref = (m0, m1 / m0, m2 / m0 - (m1 / m0) ** 2)
+            for got, want in zip(quad_pair_sum_stats(density), ref):
+                assert _close_to_quadpack(got, want)
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(seqmeas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, seqmeas.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSampleChain:
@@ -167,8 +256,7 @@ class TestMcConditionalVariance:
         )
         chain = MeasurementChain(stages, random_density(rng, 3))
         query = ChainQuery(2, (0.2, -0.5))
-        from seqmeas.chain import conditional_density_k
-
+        
         density, _ = conditional_density_k(chain, query)
         _, _, quad_var = quad_pair_sum_stats(density)
         estimate, se = mc_conditional_variance(chain, query, SamplerConfig(samples=300_000, seed=24))
