@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import ChainQuery, MeasurementChain, chain_state, conditional_density_k
-from .errors import QuadratureFailure, RejectionStall
+from .errors import QuadratureFailure, RejectionStall, ZeroLikelihood
+from .kraus import MeasurementStage
 from .pointer import GaussianPairSum
 
 #: Algorithm identifier of the sample generator, recorded in output metadata.
@@ -235,65 +236,107 @@ def quad_pair_sum_stats(
 
 
 def _pick_components(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
-    # weights need not be normalized; draws are scaled by the row totals
-    if weights.shape[1] == 2:
-        totals = weights[:, 0] + weights[:, 1]
-        return (rng.random(weights.shape[0]) * totals >= weights[:, 0]).astype(np.intp)
-    cumulative = np.cumsum(weights, axis=1)
-    draws = rng.random(weights.shape[0]) * cumulative[:, -1]
-    return np.minimum(
-        (cumulative < draws[:, None]).sum(axis=1), weights.shape[1] - 1
-    )
+    # weights has one row per component and one column per sample; it need
+    # not be normalized, since draws are scaled by the column totals
+    bounds = [weights[0]]
+    for row in weights[1:]:
+        bounds.append(bounds[-1] + row)
+    totals = bounds.pop()
+    bad = ~(np.isfinite(totals) & (totals > 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ZeroLikelihood(f"level weights of sample {k} sum to {float(totals[k])!r}")
+    draws = rng.random(totals.size) * totals
+    if len(bounds) == 1:
+        return (draws >= bounds[0]).astype(np.intp)
+    comp = np.zeros(totals.size, dtype=np.intp)
+    for bound in bounds:
+        comp += bound < draws
+    return comp
 
 
-def _rotate_states(states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # batched U^dagger S U as two large GEMMs
-    a = np.tensordot(states, u, axes=([2], [0]))
-    b = np.tensordot(a, u.conj(), axes=([1], [0]))
-    return b.transpose(0, 2, 1)
-
-
-def _level_sums(full_values: np.ndarray, level_of: np.ndarray, n_levels: int) -> np.ndarray:
+def _level_sums(values: np.ndarray, level_of: np.ndarray, n_levels: int) -> np.ndarray:
+    # (d, n) eigenvalue weights to (n_levels, n) level weights
     if n_levels == level_of.size:
-        return full_values
-    sums = np.zeros((full_values.shape[0], n_levels))
-    np.add.at(sums.T, level_of, full_values.T)
+        return values
+    sums = np.zeros((n_levels, values.shape[1]))
+    np.add.at(sums, level_of, values)
     return sums
 
 
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each entry on or above the diagonal: the diagonal first."""
+    upper_p, upper_q = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    return np.concatenate([diag, upper_p]), np.concatenate([diag, upper_q])
+
+
+def _hermitian_coords(matrices: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian (..., d, d) matrices, shape (..., d^2).
+
+    They are the diagonal, then the real parts of the upper triangle in
+    ``_pairs`` order, then its imaginary parts.
+    """
+    d = matrices.shape[-1]
+    entries = matrices[(...,) + _pairs(d)]
+    return np.concatenate([entries.real, entries[..., d:].imag], axis=-1)
+
+
+def _coord_rotation(u: np.ndarray) -> np.ndarray:
+    """Real (d^2, d^2) matrix M with coords(U^dagger S U) = M @ coords(S)."""
+    d = u.shape[0]
+    p, q = _pairs(d)
+    # basis[k] is the Hermitian matrix whose coordinates are the k-th unit vector
+    unit = np.concatenate([np.ones(p.size), np.full(p.size - d, 1j)])
+    p, q = np.concatenate([p, p[d:]]), np.concatenate([q, q[d:]])
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    k = np.arange(d * d)
+    basis[k, p, q] = unit
+    basis[k, q, p] = unit.conj()
+    return _hermitian_coords(u.conj().T @ basis @ u).T
+
+
+def _amplitudes(x: np.ndarray, stage: MeasurementStage) -> np.ndarray:
+    # Kraus weights w_p(x) of every eigenvalue, shape (d, n); sampled
+    # outcomes stay within a few sigma of a center, so they cannot all
+    # underflow before normalization
+    eigenvalues = stage.observable.eigenvalues
+    return np.exp(-((x[None, :] - eigenvalues[:, None]) ** 2) / (4.0 * stage.sigma**2))
+
+
 def _sample_two_stage(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
-    # after one Kraus update the state is rho_tilde * (w w^T) elementwise,
-    # so second-stage level weights follow from the amplitude vector alone
+    # after one Kraus update the state is rho * (w w^T) elementwise, so the
+    # second-stage level weights are a fixed quadratic form in w: one GEMM
+    # over the d(d+1)/2 distinct products w_p w_q
     rng = make_rng(cfg)
     n = cfg.samples
     first, second = chain.stages
     obs1, obs2 = first.observable, second.observable
     v1 = obs1.eigenvectors
-    rho = v1.conj().T @ chain.initial_state.normalized().matrix @ v1
-    u = v1.conj().T @ obs2.eigenvectors
-    # kernels[s] = rho ∘ (u_s* u_s^T) are Hermitian: only their real
-    # (symmetric) parts survive the w^T K w quadratic form
     d = chain.dim
-    kernels = (rho[None, :, :] * u.T.conj()[:, :, None] * u.T[:, None, :]).real
-    stacked = kernels.transpose(1, 0, 2).reshape(d, d * d)
+    p, q = _pairs(d)
+    rho = _hermitian_coords(v1.conj().T @ chain.initial_state.normalized().matrix @ v1)
+    # folded kernel: an entry's real and imaginary coordinates share w_p w_q
+    kernel = _coord_rotation(v1.conj().T @ obs2.eigenvectors)[:d] * rho
+    kernel = np.concatenate([kernel[:, :d], kernel[:, d : p.size] + kernel[:, p.size :]], axis=1)
 
-    probs1 = _level_sums(
-        np.clip(np.diag(rho).real, 0.0, None)[None, :], obs1.level_of, obs1.levels.size
-    )[0]
+    probs1 = _level_sums(np.clip(rho[:d, None], 0.0, None), obs1.level_of, obs1.levels.size)[:, 0]
     probs1 /= probs1.sum()
     cum1 = np.cumsum(probs1)
     out = np.empty((n, 2))
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         count = stop - start
-        comp = np.searchsorted(cum1, rng.random(count), side="right")
-        comp = np.minimum(comp, probs1.size - 1)
+        draws = rng.random(count)
+        # searchsorted(cum1, draws, "right") capped at the last level
+        comp = np.zeros(count, dtype=np.intp)
+        for bound in cum1[:-1]:
+            comp += bound <= draws
         x1 = obs1.levels[comp] + first.sigma * rng.standard_normal(count)
         out[start:stop, 0] = x1
 
-        amps = np.exp(-((x1[:, None] - obs1.eigenvalues[None, :]) ** 2) / (4.0 * first.sigma**2))
-        quad_forms = (amps @ stacked).reshape(count, d, d)
-        diag2 = np.einsum("csq,cq->cs", quad_forms, amps)
+        w = _amplitudes(x1, first)
+        diag2 = kernel @ (w[p] * w[q])
         probs2 = _level_sums(np.clip(diag2, 0.0, None), obs2.level_of, obs2.levels.size)
         comp2 = _pick_components(rng, probs2)
         out[start:stop, 1] = obs2.levels[comp2] + second.sigma * rng.standard_normal(count)
@@ -308,44 +351,53 @@ def sample_chain(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
     state, after which the state is updated with the matching Kraus
     operator. Fixed seeds reproduce records exactly.
 
-    States are carried in the current stage's eigenbasis, where the Kraus
-    update is an elementwise weight product and level probabilities are
-    diagonal sums; moving to the next stage is one fixed basis rotation.
-    Two-stage chains skip the per-sample state entirely.
+    Each sample's state is carried in the current stage's eigenbasis as its
+    d^2 real Hermitian coordinates (see ``_hermitian_coords``). The Kraus
+    update scales the coordinates of entry (p, q) by w_p w_q, the level
+    probabilities are sums of the first d coordinates, and moving to the
+    next stage's eigenbasis is one real (d^2, d^2) GEMM. Two-stage chains
+    skip the per-sample state entirely.
+
+    Raises
+    ------
+    ZeroLikelihood
+        If a sample's level weights sum to zero or to a non-finite value.
     """
     if len(chain) == 2:
         return _sample_two_stage(chain, cfg)
     rng = make_rng(cfg)
     n = cfg.samples
     stages = chain.stages
-    rho0 = chain.initial_state.normalized().matrix
+    d = chain.dim
+    p, q = _pairs(d)
+    v0 = stages[0].observable.eigenvectors
+    rho0 = _hermitian_coords(v0.conj().T @ chain.initial_state.normalized().matrix @ v0)
     rotations = [
-        stages[j].observable.eigenvectors.conj().T @ stages[j + 1].observable.eigenvectors
+        _coord_rotation(
+            stages[j].observable.eigenvectors.conj().T @ stages[j + 1].observable.eigenvectors
+        )
         for j in range(len(stages) - 1)
     ]
     out = np.empty((n, len(stages)))
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         count = stop - start
-        v0 = stages[0].observable.eigenvectors
-        states = np.broadcast_to(v0.conj().T @ rho0 @ v0, (count,) + rho0.shape).copy()
+        # one column per sample
+        states = np.repeat(rho0[:, None], count, axis=1)
         for j, stage in enumerate(stages):
             obs = stage.observable
-            diag = np.clip(np.einsum("cpp->cp", states).real, 0.0, None)
-            probs = _level_sums(diag, obs.level_of, obs.levels.size)
+            probs = _level_sums(np.clip(states[:d], 0.0, None), obs.level_of, obs.levels.size)
             comp = _pick_components(rng, probs)
             x = obs.levels[comp] + stage.sigma * rng.standard_normal(count)
             out[start:stop, j] = x
             if j + 1 == len(stages):
                 break
-            # sampled outcomes stay within a few sigma of a center, so the
-            # raw amplitudes cannot underflow before normalization
-            w = np.exp(
-                -((x[:, None] - obs.eigenvalues[None, :]) ** 2) / (4.0 * stage.sigma**2)
-            )
-            states *= w[:, :, None] * w[:, None, :]
-            states /= np.einsum("cpp->c", states).real[:, None, None]
-            states = _rotate_states(states, rotations[j])
+            w = _amplitudes(x, stage)
+            products = w[p] * w[q]
+            states[: p.size] *= products
+            states[p.size :] *= products[d:]
+            states /= states[:d].sum(axis=0)
+            states = rotations[j] @ states
     return out
 
 

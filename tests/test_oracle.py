@@ -11,6 +11,7 @@ import seqmeas
 
 from seqmeas import (
     ChainQuery,
+    DensityMatrix,
     MeasurementChain,
     MeasurementStage,
     Pointer,
@@ -23,10 +24,11 @@ from seqmeas import (
 )
 from seqmeas import spin
 from seqmeas.chain import conditional_density_k
-from seqmeas.errors import QuadratureFailure
-from seqmeas.oracle import jackknife_variance_se, pair_sum_domain, quad_pair_sum_stats
+from seqmeas.core import Observable
+from seqmeas.errors import QuadratureFailure, ZeroLikelihood
+from seqmeas.oracle import _pick_components, jackknife_variance_se, pair_sum_domain, quad_pair_sum_stats
 from seqmeas.pointer import GaussianPairSum, Pointer as _P, pair_moment
-from seqmeas.validate import random_density, random_observable
+from seqmeas.validate import random_density, random_hermitian, random_observable, random_pure
 
 
 class TestQuadMoment:
@@ -191,6 +193,105 @@ class TestSampleChain:
         var2, se2 = jackknife_variance_se(x[:, 1])
         expected = 0.25 + 0.25 * (1 - np.exp(-1.0))
         assert abs(var2 - expected) < 3 * se2
+
+
+def _reference_records(chain, samples, seed):
+    # The sampler with complex (count, d, d) density matrices, one per
+    # sample, in the current stage's eigenbasis: the Kraus update is the
+    # elementwise product with w w^T, then U^dagger S U moves to the next
+    # stage. It makes the same random draws in the same order, chunk by
+    # chunk of 65536 samples.
+    rng = np.random.default_rng(seed)
+    stages = chain.stages
+    out = np.empty((samples, len(stages)))
+    for start in range(0, samples, 1 << 16):
+        count = min(1 << 16, samples - start)
+        v0 = stages[0].observable.eigenvectors
+        rho = v0.conj().T @ chain.initial_state.normalized().matrix @ v0
+        states = np.broadcast_to(rho, (count,) + rho.shape).copy()
+        for j, stage in enumerate(stages):
+            obs = stage.observable
+            diag = np.clip(np.einsum("cpp->cp", states).real, 0.0, None)
+            probs = np.zeros((count, obs.levels.size))
+            np.add.at(probs.T, obs.level_of, diag.T)
+            if obs.levels.size == 2:
+                totals = probs[:, 0] + probs[:, 1]
+                comp = (rng.random(count) * totals >= probs[:, 0]).astype(np.intp)
+            else:
+                cumulative = np.cumsum(probs, axis=1)
+                draws = rng.random(count) * cumulative[:, -1]
+                comp = np.minimum((cumulative < draws[:, None]).sum(axis=1), obs.levels.size - 1)
+            x = obs.levels[comp] + stage.sigma * rng.standard_normal(count)
+            out[start : start + count, j] = x
+            if j + 1 == len(stages):
+                break
+            w = np.exp(-((x[:, None] - obs.eigenvalues[None, :]) ** 2) / (4.0 * stage.sigma**2))
+            states *= w[:, :, None] * w[:, None, :]
+            states /= np.einsum("cpp->c", states).real[:, None, None]
+            u = obs.eigenvectors.conj().T @ stages[j + 1].observable.eigenvectors
+            rotated = np.tensordot(np.tensordot(states, u, axes=([2], [0])), u.conj(), axes=([1], [0]))
+            states = rotated.transpose(0, 2, 1)
+    return out
+
+
+def _random_chain(rng, dim, n_stages, degenerate=False):
+    stages = []
+    for j in range(n_stages):
+        if degenerate and j == 1:
+            # one level of multiplicity dim - 1
+            _, vectors = np.linalg.eigh(random_hermitian(rng, dim))
+            obs = Observable.from_spectrum([-1.0] + [0.5] * (dim - 1), vectors)
+        else:
+            obs = random_observable(rng, dim)
+        sigma = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
+        stages.append(MeasurementStage(obs, Pointer(sigma)))
+    if rng.random() < 0.3:
+        state = DensityMatrix.pure(random_pure(rng, dim).amplitudes)
+    else:
+        state = random_density(rng, dim)
+    return MeasurementChain(tuple(stages), state)
+
+
+class TestSampleStream:
+    """Fixed-seed records equal those of the complex-matrix reference sampler."""
+
+    def test_n_stage_records(self):
+        rng = np.random.default_rng(606)
+        shapes = [(dim, k) for dim in (2, 3, 4) for k in (1, 3, 4, 5, 6)] * 2
+        for t, (dim, n_stages) in enumerate(shapes):
+            degenerate = dim > 2 and n_stages > 1 and t % 3 == 0
+            chain = _random_chain(rng, dim, n_stages, degenerate)
+            # one chain spans two chunks
+            samples = 70_000 if t == 7 else 3000
+            seed = int(rng.integers(2**62))
+            got = sample_chain(chain, SamplerConfig(samples=samples, seed=seed))
+            assert np.array_equal(got, _reference_records(chain, samples, seed)), (t, dim, n_stages)
+
+    def test_two_stage_shortcut_records(self):
+        rng = np.random.default_rng(607)
+        for t in range(12):
+            dim = 2 + t % 3
+            chain = _random_chain(rng, dim, 2, degenerate=dim > 2 and t % 2 == 0)
+            seed = int(rng.integers(2**62))
+            got = sample_chain(chain, SamplerConfig(samples=5000, seed=seed))
+            assert np.array_equal(got, _reference_records(chain, 5000, seed)), (t, dim)
+
+
+class TestPickComponents:
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_zero_total_raises(self, levels):
+        # one row per level, one column per sample; sample 3 has no weight
+        weights = np.ones((levels, 5))
+        weights[:, 3] = 0.0
+        with pytest.raises(ZeroLikelihood, match="sample 3 sum to 0.0"):
+            _pick_components(np.random.default_rng(0), weights)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_non_finite_total_raises(self, levels):
+        weights = np.ones((levels, 5))
+        weights[0, 1] = np.nan
+        with pytest.raises(ZeroLikelihood, match="sample 1 sum to nan"):
+            _pick_components(np.random.default_rng(0), weights)
 
 
 class TestJackknife:
