@@ -12,6 +12,7 @@ raises the error of its first failing row, naming that row's values.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -75,18 +76,15 @@ def _sweep_rows(
     return out
 
 
-def _format(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(out, meta: Iterable[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(
+    out, meta: Iterable[str], header: Sequence[str], rows: Iterable[Sequence[float]]
+) -> None:
+    """Write the CSV; every row cell is a Python float, written as its shortest repr."""
     for line in meta:
         out.write(f"# {line}\n")
     out.write(",".join(header) + "\n")
     for row in rows:
-        out.write(",".join(_format(v) for v in row) + "\n")
+        out.write(",".join(map(repr, row)) + "\n")
 
 
 def _open_out(path: str | None):
@@ -411,7 +409,7 @@ def cmd_chain(args) -> int:
             mc_var, mc_se = mc_conditional_variance(
                 c, q, SamplerConfig(samples=args.mc_samples, seed=args.seed)
             )
-            cells += [quad_var, mc_var, mc_se]
+            cells += [float(quad_var), float(mc_var), float(mc_se)]
         if values is not None:
             cells = [values[i]] + cells
         return tuple(cells)
@@ -505,9 +503,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and shared by every later call:
+    # parse_args reads the parser and leaves it unchanged
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigParseError, InvalidRange) as exc:

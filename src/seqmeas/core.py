@@ -46,7 +46,7 @@ def hermiticity_defect(matrix: np.ndarray):
     """
     if not matrix.size:
         return 0.0
-    deviation = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj())
+    deviation = np.abs(matrix - matrix.swapaxes(-1, -2).conj())
     if deviation.ndim == 2:
         return float(deviation.max())
     return deviation.reshape(len(deviation), -1).max(axis=-1)
@@ -115,15 +115,18 @@ def eigh(matrix, *, herm_tol: float = HERMITICITY_TOL):
     NoConvergence
         If the underlying solver fails to converge.
     """
-    m = _as_square_complex(matrix)
+    return _eigh_square(_as_square_complex(matrix), herm_tol)
+
+
+def _eigh_square(m: np.ndarray, herm_tol: float = HERMITICITY_TOL):
+    """:func:`eigh` of a matrix that already passed :func:`_as_square_complex`."""
     defect = hermiticity_defect(m)
     if defect > herm_tol:
         raise NotHermitian(f"max |M - M^dagger| = {defect:.3e} exceeds {herm_tol:.1e}")
     try:
-        values, vectors = np.linalg.eigh(m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return values, vectors
 
 
 def group_degenerate(eigenvalues, gap_tol: float = DEGENERACY_GAP_TOL) -> list[list[int]]:
@@ -132,20 +135,21 @@ def group_degenerate(eigenvalues, gap_tol: float = DEGENERACY_GAP_TOL) -> list[l
     Consecutive eigenvalues closer than ``gap_tol`` are merged into one
     spectral group; each group later becomes a single projector.
     """
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
     values = np.asarray(eigenvalues, dtype=float)
+    starts = _group_starts(values, gap_tol)
     if values.size == 0:
         return []
-    if np.any(np.diff(values) < -gap_tol):
+    return [g.tolist() for g in np.split(np.arange(values.size), np.flatnonzero(starts) + 1)]
+
+
+def _group_starts(values: np.ndarray, gap_tol: float) -> np.ndarray:
+    """Whether each eigenvalue after the first starts a new group (its gap is not <= gap_tol)."""
+    if gap_tol <= 0:
+        raise ValueError("gap_tol must be positive")
+    gaps = np.diff(values)
+    if (gaps < -gap_tol).any():
         raise ValueError("eigenvalues must be ascending")
-    groups = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[groups[-1][-1]] <= gap_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    return ~(gaps <= gap_tol)
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,7 @@ class Observable:
     def from_matrix(cls, matrix, gap_tol: float = DEGENERACY_GAP_TOL) -> "Observable":
         """Build an observable from a Hermitian matrix."""
         m = _as_square_complex(matrix)
-        values, vectors = eigh(m)
+        values, vectors = _eigh_square(m)
         return cls.from_spectrum(values, vectors, gap_tol=gap_tol, matrix=m)
 
     @classmethod
@@ -203,17 +207,23 @@ class Observable:
             raise DimensionMismatch(
                 f"{d} eigenvalues but eigenvector block of shape {vectors.shape}"
             )
-        unitarity = np.max(np.abs(vectors.conj().T @ vectors - np.eye(d)))
+        unitarity = np.abs(vectors.conj().T @ vectors - np.eye(d)).max()
         if unitarity > 1e-10:
             raise ValueError(f"eigenvectors not orthonormal: defect {unitarity:.3e}")
-        groups = group_degenerate(values, gap_tol)
-        levels = np.array([values[g].mean() for g in groups])
-        projectors = np.stack(
-            [vectors[:, g] @ vectors[:, g].conj().T for g in groups]
-        )
-        level_of = np.empty(d, dtype=np.intp)
-        for g_index, members in enumerate(groups):
-            level_of[members] = g_index
+        starts = _group_starts(values, gap_tol)
+        if starts.all():
+            # nondegenerate: one rank-1 projector per eigenvalue, all in one matmul
+            level_of = np.arange(d, dtype=np.intp)
+            levels = values.copy()
+            columns = vectors.T
+            projectors = columns[:, :, None] @ columns[:, None, :].conj()
+        else:
+            # per group, as before: whole-array forms round the sums differently
+            level_of = np.zeros(d, dtype=np.intp)
+            np.cumsum(starts, out=level_of[1:])
+            groups = group_degenerate(values, gap_tol)
+            levels = np.array([values[g].mean() for g in groups])
+            projectors = np.stack([vectors[:, g] @ vectors[:, g].conj().T for g in groups])
         if matrix is None:
             matrix = (vectors * values) @ vectors.conj().T
         return cls(

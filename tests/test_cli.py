@@ -16,7 +16,7 @@ from seqmeas import (
     spin,
 )
 from seqmeas.chain import conditional_stats_rows
-from seqmeas.cli import main, parse_chain_config
+from seqmeas.cli import build_parser, cmd_chain, main, parse_chain_config
 from seqmeas.errors import (
     ConfigParseError,
     FirstFailure,
@@ -404,3 +404,81 @@ class TestMatrixConfig:
         assert code == 0
         _, _, rows = parse_csv(out)
         assert np.isfinite(rows[0]).all()
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call leaves state behind for the next."""
+
+    def calls(self, tmp_path):
+        out_csv = tmp_path / "fig3.csv"
+        return [
+            ("chain", str(CHAIN4), "--with-oracles", "--seed", "3", "--mc-samples", "4000"),
+            ("chain", str(CHAIN4)),
+            ("fig3", "--x1-steps", "5", "--sigma1-steps", "2", "--out", str(out_csv)),
+            ("fig2", "--steps", "not-a-number"),
+            ("--version",),
+            ("fig2", "--steps", "7"),
+        ], out_csv
+
+    def run(self, capsys, argv, out_csv):
+        out_csv.unlink(missing_ok=True)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        written = out_csv.read_text() if out_csv.exists() else None
+        return code, out, err, written
+
+    def test_same_results_in_either_order(self, capsys, tmp_path):
+        calls, out_csv = self.calls(tmp_path)
+        forward = [self.run(capsys, argv, out_csv) for argv in calls]
+        backward = [self.run(capsys, argv, out_csv) for argv in reversed(calls)][::-1]
+        assert forward == backward
+        codes = [result[0] for result in forward]
+        assert codes == [0, 0, 0, 2, 0, 0]
+        assert "invalid int value" in forward[3][2]
+        assert forward[4][1].startswith("seqmeas ")
+        assert forward[2][1] == "" and forward[2][3].count("\n") > 10
+
+    def test_build_parser_still_returns_a_working_parser(self):
+        args = build_parser().parse_args(["chain", "cfg.json", "--with-oracles"])
+        assert (args.config, args.with_oracles, args.fn) == ("cfg.json", True, cmd_chain)
+
+
+class TestCsvCells:
+    """Every data cell is the shortest repr of a Python float; no numpy repr leaks in."""
+
+    def assert_cells(self, text):
+        assert "np." not in text
+        rows = csv_cells(text)
+        assert rows
+        for row in rows:
+            for cell in row:
+                assert cell == repr(float(cell))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fig2", "--steps", "9"),
+            ("fig3", "--x1-steps", "5", "--sigma1-steps", "3"),
+            ("fig4", "--x2-steps", "5", "--sigma2-steps", "3"),
+            ("chain", str(CHAIN4)),
+            ("chain", str(CHAIN4), "--with-oracles", "--mc-samples", "4000", "--seed", "2"),
+        ],
+    )
+    def test_verbs(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        self.assert_cells(out)
+
+    @pytest.mark.parametrize("with_oracles", [False, True])
+    def test_swept_chain(self, capsys, tmp_path, with_oracles):
+        payload = dict(QUTRIT_CHAIN, sweep={"path": "stages.1.sigma", "min": 0.5, "max": 1.5, "steps": 3})
+        argv = ["chain", write_config(tmp_path, payload)]
+        if with_oracles:
+            argv += ["--with-oracles", "--mc-samples", "4000"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        self.assert_cells(out)
+        assert len(csv_cells(out)) == 3

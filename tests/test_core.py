@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from seqmeas import (
     DensityMatrix,
     DimensionMismatch,
+    NoConvergence,
     NotHermitian,
     Observable,
     PureState,
@@ -14,6 +17,7 @@ from seqmeas import (
     variance_of,
 )
 from seqmeas import spin
+from seqmeas.core import DEGENERACY_GAP_TOL
 from seqmeas.validate import random_density, random_hermitian, random_observable
 
 
@@ -82,6 +86,126 @@ class TestObservable:
         obs = Observable.from_matrix(np.diag([1.0, 1.0, 3.0]))
         assert obs.levels.tolist() == [1.0, 3.0]
         assert obs.projectors.shape == (2, 3, 3)
+
+
+def per_group_spectral_data(values, vectors, gap_tol=DEGENERACY_GAP_TOL):
+    """Levels, projectors and level index built group by group, one Python loop each."""
+    groups = [[0]]
+    for i in range(1, values.size):
+        if values[i] - values[groups[-1][-1]] <= gap_tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    levels = np.array([values[g].mean() for g in groups])
+    projectors = np.stack([vectors[:, g] @ vectors[:, g].conj().T for g in groups])
+    level_of = np.empty(values.size, dtype=np.intp)
+    for index, members in enumerate(groups):
+        level_of[members] = index
+    return levels, projectors, level_of
+
+
+def random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
+class TestFromSpectrumMatchesPerGroupLoop:
+    """The spectral data equal a per-group construction bit for bit."""
+
+    def assert_matches(self, obs, values, vectors, gap_tol=DEGENERACY_GAP_TOL):
+        levels, projectors, level_of = per_group_spectral_data(values, vectors, gap_tol)
+        assert np.array_equal(obs.eigenvalues, values)
+        assert np.array_equal(obs.eigenvectors, vectors)
+        assert np.array_equal(obs.levels, levels)
+        assert obs.projectors.shape == projectors.shape
+        assert np.array_equal(obs.projectors, projectors)
+        assert obs.level_of.dtype == np.intp
+        assert np.array_equal(obs.level_of, level_of)
+
+    def test_random_nondegenerate(self, rng):
+        for _ in range(240):
+            dim = int(rng.integers(2, 6))
+            h = random_hermitian(rng, dim) * 10.0 ** rng.uniform(-2, 2)
+            values, vectors = eigh(h)
+            assert np.all(np.diff(values) > DEGENERACY_GAP_TOL)
+            self.assert_matches(Observable.from_matrix(h), values, vectors)
+            self.assert_matches(Observable.from_spectrum(values, vectors), values, vectors)
+
+    def test_presets(self):
+        for obs in (spin.s_z(), spin.s_x()):
+            self.assert_matches(obs, obs.eigenvalues, obs.eigenvectors)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 1.0, 3.0],
+            [-1.0, 0.5, 0.5, 0.5],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [-2.0, -2.0, 1.0, 1.0, 4.0],
+            # within gap_tol of a neighbour, chained across a group
+            [0.0, 4e-10, 8e-10, 1.0],
+            [0.3, 0.3 + 1e-12, 2.0, 2.0 + 5e-10],
+        ],
+    )
+    def test_degenerate(self, rng, values):
+        values = np.array(values)
+        for _ in range(10):
+            vectors = random_unitary(rng, values.size)
+            obs = Observable.from_spectrum(values, vectors)
+            self.assert_matches(obs, values, vectors)
+            assert obs.levels.size < values.size
+
+    def test_custom_gap_tol(self, rng):
+        values, vectors = np.array([0.0, 0.01, 0.5, 0.52]), random_unitary(rng, 4)
+        for gap_tol in (1e-3, 0.015, 0.1, 1.0):
+            obs = Observable.from_spectrum(values, vectors, gap_tol=gap_tol)
+            self.assert_matches(obs, values, vectors, gap_tol)
+
+    @pytest.mark.parametrize(
+        "args,kwargs,error,message",
+        [
+            (([0.0, 1.0], np.eye(3)), {}, DimensionMismatch,
+             "2 eigenvalues but eigenvector block of shape (3, 3)"),
+            (([0.0, 1.0], [[1.0, 1.0], [0.0, 1.0]]), {}, ValueError,
+             "eigenvectors not orthonormal: defect 1.000e+00"),
+            (([1.0, 0.0], np.eye(2)), {}, ValueError, "eigenvalues must be ascending"),
+            (([0.0, 1.0], np.eye(2)), {"gap_tol": 0.0}, ValueError, "gap_tol must be positive"),
+            (([1.0, 0.0], np.eye(2)), {"gap_tol": -1.0}, ValueError, "gap_tol must be positive"),
+        ],
+    )
+    def test_errors_unchanged(self, args, kwargs, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            Observable.from_spectrum(*args, **kwargs)
+        assert type(info.value) is error
+
+
+class TestFromMatrixChecks:
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape (2, 3)")):
+            Observable.from_matrix(np.zeros((2, 3)))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            Observable.from_matrix(np.array([[0.0, np.nan], [np.nan, 1.0]]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian, match="exceeds 1.0e-12"):
+            Observable.from_matrix(np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]]))
+
+    def test_solver_failure_is_no_convergence(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            Observable.from_matrix(np.eye(2))
+
+    def test_keeps_its_own_copy(self):
+        m = np.diag([1.0, 2.0]).astype(complex)
+        obs = Observable.from_matrix(m)
+        m[0, 0] = 5.0
+        assert obs.matrix[0, 0] == 1.0
+        assert not obs.matrix.flags.writeable
 
 
 class TestDensityMatrix:
