@@ -188,8 +188,9 @@ class Observable:
     def from_matrix(cls, matrix, gap_tol: float = DEGENERACY_GAP_TOL) -> "Observable":
         """Build an observable from a Hermitian matrix."""
         m = _as_square_complex(matrix)
+        # eigh of a finite matrix gives finite, freshly allocated arrays
         values, vectors = _eigh_square(m)
-        return cls.from_spectrum(values, vectors, gap_tol=gap_tol, matrix=m)
+        return cls._from_finite_spectrum(values, vectors, gap_tol, m)
 
     @classmethod
     def from_spectrum(
@@ -202,6 +203,15 @@ class Observable:
         """Build an observable from ascending eigenvalues and orthonormal columns."""
         values = np.asarray(eigenvalues, dtype=float).copy()
         vectors = np.array(eigenvectors, dtype=complex)
+        # NaN would pass every tolerance test that follows, since comparisons with it are false
+        if not np.isfinite(values).all():
+            raise ValueError("eigenvalues contain non-finite entries")
+        if not np.isfinite(vectors).all():
+            raise ValueError("eigenvectors contain non-finite entries")
+        return cls._from_finite_spectrum(values, vectors, gap_tol, matrix)
+
+    @classmethod
+    def _from_finite_spectrum(cls, values, vectors, gap_tol, matrix) -> "Observable":
         d = values.size
         if vectors.shape != (d, d):
             raise DimensionMismatch(

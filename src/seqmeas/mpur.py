@@ -47,9 +47,12 @@ def _expect(vector: np.ndarray, matrix: np.ndarray) -> complex:
 
 
 def _pure_variance(psi: PureState, obs: Observable) -> float:
-    v = psi.amplitudes
-    mean = _expect(v, obs.matrix).real
-    second = _expect(v, obs.matrix @ obs.matrix).real
+    return _matrix_variance(psi.amplitudes, obs.matrix)
+
+
+def _matrix_variance(v: np.ndarray, matrix: np.ndarray) -> float:
+    mean = _expect(v, matrix).real
+    second = _expect(v, matrix @ matrix).real
     return max(second - mean * mean, 0.0)
 
 
@@ -63,9 +66,12 @@ def orthogonal_state(psi: PureState, observable: Observable) -> PureState:
         which case the construction has nothing to normalize.
     """
     require_same_dim(psi.dim, observable.dim)
-    v = psi.amplitudes
-    mean = _expect(v, observable.matrix).real
-    shifted = observable.matrix @ v - mean * v
+    return _orthogonal_state(psi.amplitudes, observable.matrix)
+
+
+def _orthogonal_state(v: np.ndarray, matrix: np.ndarray) -> PureState:
+    mean = _expect(v, matrix).real
+    shifted = matrix @ v - mean * v
     norm = float(np.linalg.norm(shifted))
     if norm * norm <= ZERO_VARIANCE_TOL:
         raise DegenerateDirection(
@@ -113,13 +119,17 @@ def bound_Rb(psi: PureState, a: Observable, b: Observable) -> float:
     Built from the explicit orthogonal state of ``A + B``; algebraically it
     equals half the variance of ``A + B``, and collapses to zero (its
     limiting value) when ``psi`` is an eigenstate of the sum.
+
+    Only the matrix of ``A + B`` is used, so the sum needs no spectral
+    decomposition and no Hermiticity check of its own: two observables
+    within tolerance can sum to a matrix just outside it.
     """
     require_same_dim(psi.dim, a.dim, b.dim)
-    total = Observable.from_matrix(a.matrix + b.matrix)
-    if _pure_variance(psi, total) <= ZERO_VARIANCE_TOL:
+    total = a.matrix + b.matrix
+    if _matrix_variance(psi.amplitudes, total) <= ZERO_VARIANCE_TOL:
         return 0.0
-    perp = orthogonal_state(psi, total)
-    cross = complex(np.vdot(perp.amplitudes, total.matrix @ psi.amplitudes))
+    perp = _orthogonal_state(psi.amplitudes, total)
+    cross = complex(np.vdot(perp.amplitudes, total @ psi.amplitudes))
     return float(0.5 * abs(cross) ** 2)
 
 

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import ChainQuery, MeasurementChain, chain_state, conditional_density_k
+from .conditional import pair_centers
 from .errors import QuadratureFailure, RejectionStall, ZeroLikelihood
 from .kraus import MeasurementStage
 from .pointer import GaussianPairSum
@@ -440,31 +441,41 @@ def _sample_rejection(
     n: int,
 ) -> np.ndarray:
     sigma = float(density.sigmas[0])
+    centers_a, centers_b = pair_centers(proposal_centers)
+    if not (
+        np.array_equal(density.centers_a, centers_a)
+        and np.array_equal(density.centers_b, centers_b)
+        and (density.sigmas == sigma).all()
+    ):
+        raise ValueError("density terms must pair the proposal centers at one shared sigma")
     support = proposal_weights > 1e-300
     weights = proposal_weights[support] / proposal_weights[support].sum()
     centers = proposal_centers[support]
+    level_weights = np.zeros(proposal_centers.size)
+    level_weights[support] = weights
 
     # rigorous envelope: v^T C v <= lam_max(C) * sum_i psi_i^2 and the
     # proposal mixture dominates that sum by its smallest weight
-    dim = int(np.sqrt(density.coeffs.size))
+    dim = proposal_centers.size
     coeff_matrix = density.coeffs.reshape(dim, dim)
     lam_max = float(np.linalg.eigvalsh(coeff_matrix)[-1].real)
     envelope = 1.1 * lam_max / float(weights.min())
 
-    norm_const = (2.0 * np.pi * sigma * sigma) ** -0.5
+    # with real amplitudes a_i(y) = exp(-(y - lambda_i)^2 / 4 sigma^2) the
+    # target is a^T Re(C) a and the proposal sum_i w_i a_i^2, both up to
+    # the same normalization constant, which the accept test drops
+    real_coeffs = np.ascontiguousarray(coeff_matrix.real)
     accepted: list[np.ndarray] = []
     got, proposed = 0, 0
     batch = max(n // 4, 4096)
     while got < n:
         comp = rng.choice(weights.size, size=batch, p=weights)
         y = centers[comp] + sigma * rng.standard_normal(batch)
-        proposal_pdf = (
-            weights[None, :]
-            * norm_const
-            * np.exp(-((y[:, None] - centers[None, :]) ** 2) / (2.0 * sigma * sigma))
-        ).sum(axis=1)
-        target = density.value(y)
-        accept = rng.random(batch) * envelope * proposal_pdf <= target
+        # one row per level keeps the per-level passes contiguous
+        amps = np.exp(-((y - proposal_centers[:, None]) ** 2) / (4.0 * sigma * sigma))
+        target = ((real_coeffs @ amps) * amps).sum(axis=0)
+        proposal = level_weights @ (amps * amps)
+        accept = rng.random(batch) * envelope * proposal <= target
         accepted.append(y[accept])
         got += int(accept.sum())
         proposed += batch

@@ -178,6 +178,24 @@ class TestFromSpectrumMatchesPerGroupLoop:
             Observable.from_spectrum(*args, **kwargs)
         assert type(info.value) is error
 
+    @pytest.mark.parametrize(
+        "values,vectors,message",
+        [
+            ([0.0, np.nan], np.eye(2), "eigenvalues contain non-finite entries"),
+            ([0.0, np.inf], np.eye(2), "eigenvalues contain non-finite entries"),
+            ([-np.inf, 0.0], np.eye(2), "eigenvalues contain non-finite entries"),
+            ([0.0, 1.0], [[1.0, 0.0], [0.0, np.nan]], "eigenvectors contain non-finite entries"),
+            ([0.0, 1.0], [[1.0, 0.0], [0.0, complex(1.0, np.nan)]],
+             "eigenvectors contain non-finite entries"),
+            # the finite check comes before the shape and ordering checks
+            ([np.nan, 1.0, 0.0], np.eye(2), "eigenvalues contain non-finite entries"),
+        ],
+    )
+    def test_rejects_non_finite(self, values, vectors, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            Observable.from_spectrum(values, vectors)
+        assert type(info.value) is ValueError
+
 
 class TestFromMatrixChecks:
     def test_rejects_non_square(self):

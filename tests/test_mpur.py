@@ -14,8 +14,8 @@ from seqmeas import (
     mpur_check,
     orthogonal_state,
 )
-from seqmeas import spin
-from seqmeas.mpur import _pure_variance, commutator_sign
+from seqmeas import NotHermitian, spin
+from seqmeas.mpur import ZERO_VARIANCE_TOL, _pure_variance, commutator_sign
 from seqmeas.validate import random_observable, random_pure
 
 
@@ -94,6 +94,43 @@ class TestBoundRb:
             a, b = random_observable(rng, 3), random_observable(rng, 3)
             total = Observable.from_matrix(a.matrix + b.matrix)
             assert abs(bound_Rb(psi, a, b) - 0.5 * _pure_variance(psi, total)) < 1e-10
+
+    def test_equals_spectral_construction(self, rng):
+        # the value is bit for bit the one built through Observable(A + B)
+        def spectral_rb(psi, a, b):
+            total = Observable.from_matrix(a.matrix + b.matrix)
+            if _pure_variance(psi, total) <= ZERO_VARIANCE_TOL:
+                return 0.0
+            perp = orthogonal_state(psi, total)
+            return float(0.5 * abs(np.vdot(perp.amplitudes, total.matrix @ psi.amplitudes)) ** 2)
+
+        zeros = 0
+        for t in range(300):
+            dim = 2 + t % 3
+            a, b = random_observable(rng, dim), random_observable(rng, dim)
+            if t % 10 == 0:
+                # an eigenstate of the sum takes the zero branch
+                psi = PureState(np.linalg.eigh(a.matrix + b.matrix)[1][:, t % dim])
+            else:
+                psi = random_pure(rng, dim)
+            got = bound_Rb(psi, a, b)
+            assert got == spectral_rb(psi, a, b), (t, dim)
+            zeros += got == 0.0
+        assert zeros == 30
+
+    def test_sum_outside_hermiticity_tolerance(self):
+        # each operand is Hermitian within 1e-12, their sum is not (defect 1.8e-12)
+        a = Observable.from_matrix(np.array([[0.5, 0.3], [0.3 + 0.9e-12, -0.5]]))
+        b = Observable.from_matrix(np.array([[0.1, 0.2j], [-0.2j + 0.9e-12, 0.2]]))
+        with pytest.raises(NotHermitian):
+            Observable.from_matrix(a.matrix + b.matrix)
+        psi = spin.plus_pure()
+        report = mpur_check(psi, a, b)
+        total = a.matrix + b.matrix
+        mean = np.vdot(psi.amplitudes, total @ psi.amplitudes).real
+        variance = np.vdot(psi.amplitudes, total @ total @ psi.amplitudes).real - mean * mean
+        assert abs(report.r_b - 0.5 * variance) < 1e-12
+        assert report.satisfied
 
 
 class TestMpurCheck:

@@ -23,10 +23,17 @@ from seqmeas import (
     sample_chain,
 )
 from seqmeas import spin
-from seqmeas.chain import conditional_density_k
+from seqmeas.chain import chain_state, conditional_density_k
 from seqmeas.core import Observable
-from seqmeas.errors import QuadratureFailure, ZeroLikelihood
-from seqmeas.oracle import _pick_components, jackknife_variance_se, pair_sum_domain, quad_pair_sum_stats
+from seqmeas.errors import QuadratureFailure, RejectionStall, ZeroLikelihood
+from seqmeas.oracle import (
+    _pick_components,
+    _sample_rejection,
+    _split_density,
+    jackknife_variance_se,
+    pair_sum_domain,
+    quad_pair_sum_stats,
+)
 from seqmeas.pointer import GaussianPairSum, Pointer as _P, pair_moment
 from seqmeas.validate import random_density, random_hermitian, random_observable, random_pure
 
@@ -309,6 +316,103 @@ class TestJackknife:
         _, se_half = jackknife_variance_se(x[: x.size // 2])
         _, se_full = jackknife_variance_se(x)
         assert abs(se_half / se_full - np.sqrt(2.0)) < 0.2 * np.sqrt(2.0)
+
+
+def _reference_rejection(rng, density, proposal_weights, proposal_centers, n):
+    # The rejection sampler with the target from density.value (d^2 pair
+    # Gaussians per proposal) and the proposal pdf from one exp per support
+    # level, both with the normalization constant. It makes the same draws
+    # in the same order; returns the samples and the number of batches.
+    sigma = float(density.sigmas[0])
+    support = proposal_weights > 1e-300
+    weights = proposal_weights[support] / proposal_weights[support].sum()
+    centers = proposal_centers[support]
+    dim = int(np.sqrt(density.coeffs.size))
+    lam_max = float(np.linalg.eigvalsh(density.coeffs.reshape(dim, dim))[-1].real)
+    envelope = 1.1 * lam_max / float(weights.min())
+    norm_const = (2.0 * np.pi * sigma * sigma) ** -0.5
+    accepted, got, proposed = [], 0, 0
+    batch = max(n // 4, 4096)
+    while got < n:
+        comp = rng.choice(weights.size, size=batch, p=weights)
+        y = centers[comp] + sigma * rng.standard_normal(batch)
+        proposal_pdf = (
+            weights[None, :]
+            * norm_const
+            * np.exp(-((y[:, None] - centers[None, :]) ** 2) / (2.0 * sigma * sigma))
+        ).sum(axis=1)
+        accept = rng.random(batch) * envelope * proposal_pdf <= density.value(y)
+        accepted.append(y[accept])
+        got += int(accept.sum())
+        proposed += batch
+        if proposed >= 100_000 and got / proposed < 1e-6:
+            raise RejectionStall(f"acceptance rate {got / proposed:.2e}")
+    return np.concatenate(accepted)[:n], len(accepted)
+
+
+def _rejection_args(chain, query):
+    # what mc_conditional_variance hands to the rejection sampler
+    density, _ = conditional_density_k(chain, query)
+    rho = chain_state(chain, query.outcomes_before()).matrix
+    obs = chain.stages[query.free_index - 1].observable
+    v = obs.eigenvectors
+    diag = np.clip(np.diag(v.conj().T @ rho @ v).real, 0.0, None)
+    return density, diag / diag.sum(), obs.eigenvalues
+
+
+class TestRejectionStream:
+    """Post-selected samples equal those of the pair-Gaussian reference sampler."""
+
+    def assert_same_stream(self, chain, query, samples, seed):
+        density, weights, centers = _rejection_args(chain, query)
+        assert _split_density(density).any()
+        got = _sample_rejection(np.random.default_rng(seed), density, weights, centers, samples)
+        want, batches = _reference_rejection(
+            np.random.default_rng(seed), density, weights, centers, samples
+        )
+        assert np.array_equal(got, want)
+        cfg = SamplerConfig(samples=samples, seed=seed)
+        assert mc_conditional_variance(chain, query, cfg) == jackknife_variance_se(want)
+        return weights, batches
+
+    def test_random_post_selected_queries(self):
+        rng = np.random.default_rng(909)
+        batches = []
+        for t in range(33):
+            dim = 2 + t % 3
+            n_stages = 2 + t % 4
+            degenerate = dim > 2 and t % 4 == 1
+            chain = _random_chain(rng, dim, n_stages, degenerate)
+            # the degenerate stage is the second one; every query has a later record
+            free = 2 if degenerate else int(rng.integers(1, n_stages))
+            seed = int(rng.integers(2**62))
+            # the fixed outcomes come from a sampled record of the chain
+            record = sample_chain(chain, SamplerConfig(samples=1, seed=seed))[0]
+            query = ChainQuery(free, tuple(np.delete(record, free - 1)))
+            batches.append(self.assert_same_stream(chain, query, 3000, seed)[1])
+        assert max(batches) >= 3
+
+    def test_zero_weight_level(self):
+        # the free stage is diagonal and the state fills only two of its
+        # three levels, so the third proposal weight is exactly zero
+        rng = np.random.default_rng(910)
+        free = MeasurementStage(Observable.from_spectrum([-1.0, 0.0, 1.0], np.eye(3)), Pointer(0.6))
+        later = MeasurementStage(random_observable(rng, 3), Pointer(0.4))
+        state = DensityMatrix.pure(np.array([0.6, 0.8j, 0.0]))
+        chain = MeasurementChain((free, later), state)
+        weights, _ = self.assert_same_stream(chain, ChainQuery(1, (0.3,)), 5000, 11)
+        assert weights[2] == 0.0 and (weights[:2] > 0.0).all()
+
+    def test_many_batches(self, plus, sz_stage, sx_stage):
+        chain = MeasurementChain((sz_stage(0.5), sx_stage(0.5)), plus)
+        _, batches = self.assert_same_stream(chain, ChainQuery(1, (0.5,)), 40_000, 12)
+        assert batches >= 4
+
+    def test_rejects_density_of_other_centers(self, plus, sz_stage, sx_stage):
+        chain = MeasurementChain((sz_stage(0.5), sx_stage(0.5)), plus)
+        density, weights, centers = _rejection_args(chain, ChainQuery(1, (0.5,)))
+        with pytest.raises(ValueError, match="pair the proposal centers"):
+            _sample_rejection(np.random.default_rng(0), density, weights, centers + 0.1, 100)
 
 
 class TestMcConditionalVariance:
