@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -205,17 +206,41 @@ def cmd_fig4(args) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    """A JSON number: ``bool`` is a subclass of ``int``, but ``true`` is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_complex_entry(entry, path: str) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(isinstance(v, (int, float)) for v in entry):
+    if isinstance(entry, list) and len(entry) == 2 and all(_is_number(v) for v in entry):
         return complex(entry[0], entry[1])
     raise ConfigParseError(f"{path}: expected a number or [re, im] pair, got {entry!r}")
+
+
+_NUMBER_TYPES = {int, float}
 
 
 def _parse_matrix(obj, dim: int, path: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != dim:
         raise ConfigParseError(f"{path}: expected a {dim}x{dim} matrix")
+    # whole-matrix conversion when every entry is a number, or every entry
+    # an [re, im] pair of numbers; the exact type scan keeps out bools
+    # and strings, which np.array would convert silently
+    if set(map(type, obj)) == {list} and set(map(len, obj)) == {dim}:
+        entries = list(itertools.chain.from_iterable(obj))
+        kinds = set(map(type, entries))
+        if kinds <= _NUMBER_TYPES:
+            return np.array(obj, dtype=complex)
+        if (
+            kinds == {list}
+            and set(map(len, entries)) == {2}
+            and set(map(type, itertools.chain.from_iterable(entries))) <= _NUMBER_TYPES
+        ):
+            # a view keeps each part's bits, signed zeros included
+            return np.array(obj, dtype=float).view(complex)[..., 0]
+    # anything else entry by entry, naming the first bad one
     rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
@@ -224,23 +249,47 @@ def _parse_matrix(obj, dim: int, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _parse_observable(obj, dim: int, path: str) -> Observable:
-    if isinstance(obj, str):
-        if obj == "Sz":
-            preset = spin.s_z()
-        elif obj == "Sx":
-            preset = spin.s_x()
-        else:
-            raise ConfigParseError(f"{path}: unknown observable preset {obj!r} (use Sz, Sx or a matrix)")
-        if dim != 2:
-            raise ConfigParseError(f"{path}: preset {obj!r} is 2-dimensional, config dim is {dim}")
-        return preset
+def _preset_observable(name: str, dim: int, path: str) -> Observable:
+    if name == "Sz":
+        preset = spin.s_z()
+    elif name == "Sx":
+        preset = spin.s_x()
+    else:
+        raise ConfigParseError(f"{path}: unknown observable preset {name!r} (use Sz, Sx or a matrix)")
+    if dim != 2:
+        raise ConfigParseError(f"{path}: preset {name!r} is 2-dimensional, config dim is {dim}")
+    return preset
+
+
+def _matrix_observables(stages_cfg: list, dim: int):
+    """The observables of the stages given as matrices, from one stacked spectral construction.
+
+    Returns ``(observables, failure)``. ``observables`` maps a stage index
+    to its observable. ``failure`` is ``(stage index, error)`` for the
+    first stage whose matrix fails to convert or fails a check of
+    :meth:`Observable.from_matrices`, else ``None``. A config with a
+    failure is never built, so ``observables`` then holds at most the
+    stages before it. Stages whose observable is a preset or missing are
+    left to the stage-by-stage parse.
+    """
+    index, matrices, failure = [], [], None
+    for i, stage_cfg in enumerate(stages_cfg):
+        obj = stage_cfg.get("observable", "") if isinstance(stage_cfg, dict) else ""
+        if isinstance(obj, str):
+            # a preset, or a stage the stage-by-stage parse rejects
+            continue
+        try:
+            matrices.append(_parse_matrix(obj, dim, f"stages[{i}].observable"))
+        except Exception as exc:  # raised when the stage-by-stage parse gets here
+            failure = (i, exc)
+            break
+        index.append(i)
     try:
-        return Observable.from_matrix(_parse_matrix(obj, dim, path))
-    except SeqMeasError as exc:
-        raise ConfigParseError(f"{path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigParseError(f"{path}: {exc}") from exc
+        built = Observable.from_matrices(matrices) if matrices else []
+    except (SeqMeasError, ValueError) as exc:
+        # a stacked matrix comes before any that failed to convert
+        return {}, (index[exc.row], exc)
+    return dict(zip(index, built)), failure
 
 
 def _parse_initial_state(obj, dim: int, path: str) -> DensityMatrix:
@@ -296,11 +345,16 @@ def _parse_sweep(sweep, n_stages: int, n_fixed: int) -> Sweep:
     for pattern, sets_sigma, count in ((_OUTCOME_PATH, False, n_fixed), (_SIGMA_PATH, True, n_stages)):
         match = pattern.fullmatch(path) if isinstance(path, str) else None
         if match and int(match[1]) < count:
-            return Sweep(path, int(match[1]), sets_sigma, sweep)
-    raise ConfigParseError(
-        f"sweep.path: unsupported path {path!r}; use query.fixed_outcomes.<i> "
-        f"(0 <= i < {n_fixed}) or stages.<i>.sigma (0 <= i < {n_stages})"
-    )
+            break
+    else:
+        raise ConfigParseError(
+            f"sweep.path: unsupported path {path!r}; use query.fixed_outcomes.<i> "
+            f"(0 <= i < {n_fixed}) or stages.<i>.sigma (0 <= i < {n_stages})"
+        )
+    for key in ("min", "max"):
+        if not _is_number(sweep[key]):
+            raise ConfigParseError(f"sweep.{key}: expected a number, got {sweep[key]!r}")
+    return Sweep(path, int(match[1]), sets_sigma, sweep)
 
 
 def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Sweep | None]:
@@ -314,14 +368,26 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Swe
     stages_cfg = _require_key(payload, "stages", "top level")
     if not isinstance(stages_cfg, list) or not stages_cfg:
         raise ConfigParseError("stages: expected a non-empty array")
+    observables, failure = _matrix_observables(stages_cfg, dim)
     stages = []
     for i, stage_cfg in enumerate(stages_cfg):
         path = f"stages[{i}]"
         if not isinstance(stage_cfg, dict):
             raise ConfigParseError(f"{path}: expected an object")
-        obs = _parse_observable(_require_key(stage_cfg, "observable", path), dim, f"{path}.observable")
+        obs_cfg = _require_key(stage_cfg, "observable", path)
+        if isinstance(obs_cfg, str):
+            obs = _preset_observable(obs_cfg, dim, f"{path}.observable")
+        elif failure is not None and failure[0] == i:
+            # every earlier stage parsed, so the first failure is this stage's
+            error = failure[1]
+            if isinstance(error, (SeqMeasError, ValueError)):
+                raise ConfigParseError(f"{path}.observable: {error}") from error
+            raise error
+        else:
+            # None only ahead of the failing stage, so this chain is never built
+            obs = observables.get(i)
         sigma = _require_key(stage_cfg, "sigma", path)
-        if not isinstance(sigma, (int, float)) or sigma <= 0:
+        if not _is_number(sigma) or sigma <= 0:
             raise ConfigParseError(f"{path}.sigma: expected a positive number, got {sigma!r}")
         stages.append(
             MeasurementStage(obs, Pointer(float(sigma)), label=str(stage_cfg.get("label", "")))
@@ -331,9 +397,9 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Swe
         raise ConfigParseError("query: expected an object")
     free_index = _require_key(query_cfg, "free_index", "query")
     fixed = _require_key(query_cfg, "fixed_outcomes", "query")
-    if not isinstance(free_index, int):
+    if not isinstance(free_index, int) or isinstance(free_index, bool):
         raise ConfigParseError(f"query.free_index: expected an integer, got {free_index!r}")
-    if not isinstance(fixed, list) or not all(isinstance(v, (int, float)) for v in fixed):
+    if not isinstance(fixed, list) or not all(_is_number(v) for v in fixed):
         raise ConfigParseError("query.fixed_outcomes: expected an array of numbers")
     chain = MeasurementChain(tuple(stages), initial)
     query = ChainQuery(free_index, tuple(float(v) for v in fixed))

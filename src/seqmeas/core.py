@@ -8,6 +8,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,11 +116,7 @@ def eigh(matrix, *, herm_tol: float = HERMITICITY_TOL):
     NoConvergence
         If the underlying solver fails to converge.
     """
-    return _eigh_square(_as_square_complex(matrix), herm_tol)
-
-
-def _eigh_square(m: np.ndarray, herm_tol: float = HERMITICITY_TOL):
-    """:func:`eigh` of a matrix that already passed :func:`_as_square_complex`."""
+    m = _as_square_complex(matrix)
     defect = hermiticity_defect(m)
     if defect > herm_tol:
         raise NotHermitian(f"max |M - M^dagger| = {defect:.3e} exceeds {herm_tol:.1e}")
@@ -187,10 +184,49 @@ class Observable:
     @classmethod
     def from_matrix(cls, matrix, gap_tol: float = DEGENERACY_GAP_TOL) -> "Observable":
         """Build an observable from a Hermitian matrix."""
-        m = _as_square_complex(matrix)
+        m = _as_square(matrix)
+        if not m.size:
+            raise ValueError("expected a square matrix, got shape (0, 0)")
+        return cls._from_stack(m[None], gap_tol, FirstFailure(1))[0]
+
+    @classmethod
+    def from_matrices(cls, matrices) -> list["Observable"]:
+        """Observables of a ``(N, d, d)`` stack of Hermitian matrices, from one stacked eigh.
+
+        Each matrix passes the checks of :meth:`from_matrix` in the same
+        order: finite, Hermitian within ``HERMITICITY_TOL``, solver
+        convergence, then those of :meth:`from_spectrum`. The first failing
+        matrix raises, and the error carries that matrix's index as ``row``.
+        """
+        m = np.array(matrices, dtype=complex)
+        if m.ndim != 3 or m.shape[1] != m.shape[2] or not m.shape[1]:
+            raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+        if not len(m):
+            return []
+        rows = FirstFailure(len(m))
+        observables = cls._from_stack(m, DEGENERACY_GAP_TOL, rows)
+        rows.raise_first()
+        return observables
+
+    @classmethod
+    def _from_stack(cls, m, gap_tol, rows) -> list["Observable"]:
+        """:meth:`from_matrices` of a stack of this call's own copies; ``rows`` records failures."""
+        n = rows.check(
+            ~np.isfinite(m).all(axis=(-2, -1)),
+            lambda i: ValueError("matrix contains non-finite entries"),
+        )
+        m = m[:n]
+        defect = hermiticity_defect(m)
+        n = rows.check(
+            defect > HERMITICITY_TOL,
+            lambda i: NotHermitian(
+                f"max |M - M^dagger| = {defect[i]:.3e} exceeds {HERMITICITY_TOL:.1e}"
+            ),
+        )
+        m = m[:n]
         # eigh of a finite matrix gives finite, freshly allocated arrays
-        values, vectors = _eigh_square(m)
-        return cls._from_finite_spectrum(values, vectors, gap_tol, m)
+        values, vectors = _eigh_rows(m, rows)
+        return cls._from_finite_spectra(values, vectors, gap_tol, m[: len(values)], rows)
 
     @classmethod
     def from_spectrum(
@@ -208,42 +244,112 @@ class Observable:
             raise ValueError("eigenvalues contain non-finite entries")
         if not np.isfinite(vectors).all():
             raise ValueError("eigenvectors contain non-finite entries")
-        return cls._from_finite_spectrum(values, vectors, gap_tol, matrix)
-
-    @classmethod
-    def _from_finite_spectrum(cls, values, vectors, gap_tol, matrix) -> "Observable":
         d = values.size
         if vectors.shape != (d, d):
             raise DimensionMismatch(
                 f"{d} eigenvalues but eigenvector block of shape {vectors.shape}"
             )
-        unitarity = np.abs(vectors.conj().T @ vectors - np.eye(d)).max()
-        if unitarity > 1e-10:
-            raise ValueError(f"eigenvectors not orthonormal: defect {unitarity:.3e}")
-        starts = _group_starts(values, gap_tol)
-        if starts.all():
-            # nondegenerate: one rank-1 projector per eigenvalue, all in one matmul
-            level_of = np.arange(d, dtype=np.intp)
-            levels = values.copy()
-            columns = vectors.T
-            projectors = columns[:, :, None] @ columns[:, None, :].conj()
-        else:
-            # per group, as before: whole-array forms round the sums differently
-            level_of = np.zeros(d, dtype=np.intp)
-            np.cumsum(starts, out=level_of[1:])
-            groups = group_degenerate(values, gap_tol)
-            levels = np.array([values[g].mean() for g in groups])
-            projectors = np.stack([vectors[:, g] @ vectors[:, g].conj().T for g in groups])
-        if matrix is None:
-            matrix = (vectors * values) @ vectors.conj().T
-        return cls(
-            matrix=_frozen(matrix),
-            eigenvalues=_frozen(values),
-            eigenvectors=_frozen(vectors),
-            levels=_frozen(levels),
-            projectors=_frozen(projectors),
-            level_of=_frozen(level_of),
+        matrices = None if matrix is None else np.array(matrix, dtype=complex)[None]
+        return cls._from_finite_spectra(
+            values.reshape(1, d), vectors[None], gap_tol, matrices, FirstFailure(1)
+        )[0]
+
+    @classmethod
+    def _from_finite_spectra(cls, values, vectors, gap_tol, matrices, rows) -> list["Observable"]:
+        """Observables of ``(n, d)`` finite spectra, the checks of :meth:`from_spectrum` first.
+
+        ``matrices`` holds each operator (rebuilt from its spectrum when
+        ``None``); ``rows`` records the first failing row.
+        """
+        d = values.shape[-1]
+        unitarity = np.abs(vectors.conj().swapaxes(-1, -2) @ vectors - _identity(d)).max(axis=(-2, -1))
+        # smallest gap to the next eigenvalue (inf for d = 1)
+        gap = (values[:, 1:] - values[:, :-1]).min(axis=-1, initial=np.inf)
+        skewed, descending = unitarity > 1e-10, gap < -gap_tol
+        if gap_tol <= 0 and not skewed[0]:
+            # row 0 always gets this far, and fails here
+            raise ValueError("gap_tol must be positive")
+        # the orthonormality and then the ordering check of every row, as one check
+        n = rows.check(
+            skewed | descending,
+            lambda i: ValueError(
+                f"eigenvectors not orthonormal: defect {unitarity[i]:.3e}"
+                if skewed[i]
+                else "eigenvalues must be ascending"
+            ),
         )
+        if n < len(values):
+            values, vectors, gap = values[:n], vectors[:n], gap[:n]
+        if matrices is None:
+            matrices = (vectors * values[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+        values, vectors, matrices = _frozen(values), _frozen(vectors), _frozen(matrices[:n])
+        nondegenerate = gap > gap_tol
+        plain = nondegenerate.tolist()
+        # one rank-1 projector per eigenvalue for every nondegenerate row, in one matmul
+        columns = (vectors if all(plain) else vectors[nondegenerate]).swapaxes(-1, -2)
+        rank_one = iter(_frozen(columns[..., :, None] @ columns[..., None, :].conj()))
+        observables = []
+        for i in range(n):
+            if plain[i]:
+                levels, projectors, level_of = values[i], next(rank_one), _level_index(d)
+            else:
+                levels, projectors, level_of = _grouped_spectral_data(values[i], vectors[i], gap_tol)
+            observables.append(
+                cls(
+                    matrix=matrices[i],
+                    eigenvalues=values[i],
+                    eigenvectors=vectors[i],
+                    levels=levels,
+                    projectors=projectors,
+                    level_of=level_of,
+                )
+            )
+        return observables
+
+
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    return _frozen(np.eye(d))
+
+
+@functools.cache
+def _level_index(d: int) -> np.ndarray:
+    """``level_of`` of every nondegenerate spectrum of dimension ``d``, shared read-only."""
+    return _frozen(np.arange(d, dtype=np.intp))
+
+
+def _eigh_rows(m: np.ndarray, rows: FirstFailure):
+    """Stacked eigh of the live rows of ``m``; a solver failure is :class:`NoConvergence`."""
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        pass
+    # the stacked solver does not say which matrix failed: redo them one by one
+    done = []
+    for i, matrix in enumerate(m):
+        try:
+            done.append(np.linalg.eigh(matrix))
+        except np.linalg.LinAlgError as exc:
+            rows.check(np.arange(len(m)) == i, lambda _: NoConvergence(str(exc)))
+            break
+    d = m.shape[-1]
+    return (
+        np.array([w for w, _ in done]).reshape(len(done), d),
+        np.array([v for _, v in done], dtype=complex).reshape(len(done), d, d),
+    )
+
+
+def _grouped_spectral_data(values, vectors, gap_tol):
+    """Levels, projectors and level index of a degenerate spectrum, one group at a time.
+
+    Per group, as before: whole-array forms round the sums differently.
+    """
+    level_of = np.zeros(values.size, dtype=np.intp)
+    np.cumsum(_group_starts(values, gap_tol), out=level_of[1:])
+    groups = group_degenerate(values, gap_tol)
+    levels = np.array([values[g].mean() for g in groups])
+    projectors = np.stack([vectors[:, g] @ vectors[:, g].conj().T for g in groups])
+    return _frozen(levels), _frozen(projectors), _frozen(level_of)
 
 
 @dataclass(frozen=True)

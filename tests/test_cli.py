@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -482,3 +484,239 @@ class TestCsvCells:
         assert code == 0
         self.assert_cells(out)
         assert len(csv_cells(out)) == 3
+
+
+def random_hermitian(rng, dim, real=False):
+    a = rng.normal(size=(dim, dim))
+    if not real:
+        a = a + 1j * rng.normal(size=(dim, dim))
+    return ((a + a.conj().T) / 2).astype(complex)
+
+
+def encode(matrix, encoding):
+    """JSON entries of ``matrix``: all ``[re, im]`` pairs, all numbers (real only), or mixed."""
+    if encoding == "pairs":
+        return [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+    if encoding == "numbers":
+        assert not matrix.imag.any()
+        return [[z.real for z in row] for row in matrix.tolist()]
+    # real diagonal as numbers, the rest as pairs: every row mixes the two
+    return [
+        [z.real if i == j else [z.real, z.imag] for j, z in enumerate(row)]
+        for i, row in enumerate(matrix.tolist())
+    ]
+
+
+def dense_kraus_reference(mats, sigmas, rho, free, fixed):
+    """(mean, variance) of the free outcome: p(y) proportional to Tr[E K(y) rho K(y)^dagger].
+
+    ``rho`` and ``E`` are plain products of dense Kraus matrices
+    ``K(x) = sum_a exp(-(x - a)^2 / 4 sigma^2) P_a``, renormalized at each
+    stage; the density is tabulated on a grid of step sigma/8 over the
+    spectrum plus twelve sigma each side, where the sums are exact to
+    rounding for these Gaussian integrands.
+    """
+
+    def kraus(a, sigma, xs):
+        lam, v = np.linalg.eigh(a)
+        weights = np.exp(-((np.atleast_1d(xs)[:, None] - lam) ** 2) / (4.0 * sigma * sigma))
+        return (v * weights[:, None, :]) @ v.conj().T
+
+    outcomes = list(fixed[:free]) + [None] + list(fixed[free:])
+    for a, sigma, x in zip(mats[:free], sigmas[:free], outcomes[:free]):
+        k = kraus(a, sigma, x)[0]
+        rho = k @ rho @ k.conj().T
+        rho = rho / np.trace(rho).real
+    effect = np.eye(len(rho), dtype=complex)
+    for a, sigma, x in reversed(list(zip(mats[free + 1 :], sigmas[free + 1 :], outcomes[free + 1 :]))):
+        k = kraus(a, sigma, x)[0]
+        effect = k.conj().T @ effect @ k
+        effect = effect / np.trace(effect).real
+    a, sigma = mats[free], sigmas[free]
+    lam = np.linalg.eigvalsh(a)
+    grid = np.arange(lam.min() - 12.0 * sigma, lam.max() + 12.0 * sigma, sigma / 8.0)
+    k = kraus(a, sigma, grid)
+    density = np.einsum("gij,jk,glk,li->g", k, rho, k.conj(), effect).real
+    mean = float((grid * density).sum() / density.sum())
+    return mean, float(((grid - mean) ** 2 * density).sum() / density.sum())
+
+
+class TestComplexObservableConfigs:
+    """Complex observables parse to the intended matrices and give the dense-Kraus statistics."""
+
+    @pytest.mark.parametrize("encoding", ["pairs", "mixed", "numbers"])
+    def test_matrices_and_statistics(self, capsys, tmp_path, encoding):
+        rng = np.random.default_rng({"pairs": 1501, "mixed": 1502, "numbers": 1503}[encoding])
+        answered = refused = 0
+        for dim, n_stages in itertools.product((2, 3, 4), (2, 3, 4)):
+            for free in range(n_stages):
+                mats = [random_hermitian(rng, dim, real=encoding == "numbers") for _ in range(n_stages)]
+                sigmas = rng.uniform(0.3, 1.5, n_stages).tolist()
+                b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                rho = b @ b.conj().T
+                rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+                fixed = [
+                    float(rng.choice(np.linalg.eigvalsh(a)) + s * rng.standard_normal())
+                    for j, (a, s) in enumerate(zip(mats, sigmas))
+                    if j != free
+                ]
+                payload = {
+                    "dim": dim,
+                    "initial_state": encode(rho, "pairs"),
+                    "stages": [
+                        {"observable": encode(a, encoding), "sigma": s} for a, s in zip(mats, sigmas)
+                    ],
+                    "query": {"free_index": free + 1, "fixed_outcomes": fixed},
+                }
+                chain, _, _ = parse_chain_config(json.loads(json.dumps(payload)))
+                for stage, a in zip(chain.stages, mats):
+                    assert np.array_equal(stage.observable.matrix, a)
+                assert np.array_equal(chain.initial_state.matrix, rho)
+
+                code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+                mean, var = dense_kraus_reference(mats, sigmas, rho, free, fixed)
+                case = (encoding, dim, n_stages, free)
+                if code == 1:
+                    # the known refusal of a negative extracted variance (weak-value regime)
+                    assert "extracted variance" in err, case
+                    assert var - sigmas[free] ** 2 < -1e-9 + 1e-8 * max(1.0, var), case
+                    refused += 1
+                    continue
+                assert code == 0, (case, err)
+                got_mean, got_var, _ = parse_csv(out)[2][0]
+                assert abs(got_mean - mean) / max(1.0, abs(mean)) < 1e-8, case
+                assert abs(got_var - var) / max(1.0, abs(var)) < 1e-8, case
+                answered += 1
+        assert answered + refused == 27 and answered >= 20
+
+
+def chain_payload(dim=2, n_stages=3):
+    payload = {
+        "dim": dim,
+        "initial_state": [[1.0 / dim if i == j else 0.0 for j in range(dim)] for i in range(dim)],
+        "stages": [
+            {"observable": np.diag(np.arange(dim) - 0.5 * k).tolist(), "sigma": 0.5 + 0.1 * k}
+            for k in range(n_stages)
+        ],
+        "query": {"free_index": n_stages, "fixed_outcomes": [0.1] * (n_stages - 1)},
+    }
+    return json.loads(json.dumps(payload))
+
+
+NON_HERMITIAN = [[0.0, 1.0], [0.5, 0.0]]
+
+
+class TestBooleansAreNotNumbers:
+    """JSON ``true``/``false`` are rejected wherever a number is expected, naming the field."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda p: p["stages"][1].update(sigma=True),
+             "stages[1].sigma: expected a positive number, got True"),
+            (lambda p: p["query"].update(fixed_outcomes=[0.1, True]),
+             "query.fixed_outcomes: expected an array of numbers"),
+            (lambda p: p["query"].update(free_index=True),
+             "query.free_index: expected an integer, got True"),
+            # all numbers but one: the whole-matrix scan falls back to the entry walk
+            (lambda p: p["stages"][0].update(observable=[[True, 0.0], [0.0, 1.0]]),
+             "stages[0].observable: stages[0].observable[0][0]: expected a number or [re, im] pair, got True"),
+            (lambda p: p["stages"][2].update(observable=[[0.0, 0.0], [0.0, False]]),
+             "stages[2].observable: stages[2].observable[1][1]: expected a number or [re, im] pair, got False"),
+            # all pairs, one with a boolean part
+            (lambda p: p["stages"][1].update(observable=[[[0.5, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+             "stages[1].observable: stages[1].observable[0][0]: expected a number or [re, im] pair, got [0.5, False]"),
+            # mixed numbers and pairs
+            (lambda p: p["stages"][1].update(observable=[[0.5, [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]),
+             "stages[1].observable: stages[1].observable[1][1]: expected a number or [re, im] pair, got [True, 0.0]"),
+            (lambda p: p.update(initial_state=[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, True]]]),
+             "initial_state: initial_state[1][1]: expected a number or [re, im] pair, got [0.5, True]"),
+        ],
+    )
+    def test_rejected_with_field(self, capsys, tmp_path, edit, message):
+        payload = chain_payload()
+        edit(payload)
+        with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):
+            parse_chain_config(payload)
+        code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_free_index_is_an_int(self):
+        _, query, _ = parse_chain_config(chain_payload())
+        assert type(query.free_index) is int
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize("key", ["min", "max"])
+    @pytest.mark.parametrize("value", ["abc", "0.5", None, [1], True, {"x": 1}])
+    def test_non_numbers_rejected(self, capsys, tmp_path, key, value):
+        payload = chain_payload()
+        payload["sweep"] = {"path": "query.fixed_outcomes.0", "min": -1.0, "max": 1.0, "steps": 3}
+        payload["sweep"][key] = value
+        message = f"sweep.{key}: expected a number, got {value!r}"
+        with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):
+            parse_chain_config(payload)
+        code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_integer_bounds_accepted(self, capsys, tmp_path):
+        payload = chain_payload()
+        payload["sweep"] = {"path": "stages.0.sigma", "min": 1, "max": 2, "steps": 3}
+        code, out, _ = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert code == 0
+        assert [row[0] for row in parse_csv(out)[2]] == [1.0, 1.5, 2.0]
+
+
+class TestFirstErrorAcrossStages:
+    """With errors in two stages the first one in stage order is reported, as a stage-by-stage parse does.
+
+    The order is stage i's observable, then stage i's sigma, then stage i + 1.
+    """
+
+    @pytest.mark.parametrize(
+        "edits,message",
+        [
+            # a later stage's spectral check does not overtake an earlier sigma
+            ({1: {"observable": NON_HERMITIAN}, 0: {"sigma": -1.0}},
+             "stages[0].sigma: expected a positive number, got -1.0"),
+            ({0: {"observable": NON_HERMITIAN}, 1: {"observable": [[0.0, "x"], [0.0, 0.0]]}},
+             "stages[0].observable: max |M - M^dagger| = 5.000e-01 exceeds 1.0e-12"),
+            ({2: {"observable": NON_HERMITIAN}, 1: {"observable": [[0.0, "x"], [0.0, 0.0]]}},
+             "stages[1].observable: stages[1].observable[0][1]: expected a number or [re, im] pair, got 'x'"),
+            ({1: {"observable": [[float("nan"), 0.0], [0.0, 0.0]]}, 2: {"observable": NON_HERMITIAN}},
+             "stages[1].observable: matrix contains non-finite entries"),
+            ({0: {"observable": "Sy"}, 1: {"observable": NON_HERMITIAN}},
+             "stages[0].observable: unknown observable preset 'Sy' (use Sz, Sx or a matrix)"),
+            ({2: {"observable": NON_HERMITIAN}, 1: {"sigma": None}},
+             "stages[1].sigma: expected a positive number, got None"),
+            ({1: {"observable": NON_HERMITIAN}, 2: {"observable": [[0.0, 1.0], [1.0 + 1e-9, 0.0]]}},
+             "stages[1].observable: max |M - M^dagger| = 5.000e-01 exceeds 1.0e-12"),
+            ({2: {"observable": NON_HERMITIAN}, 1: {"observable": [[0.0, 1.0], [1.0 + 1e-9, 0.0]]}},
+             "stages[1].observable: max |M - M^dagger| = 1.000e-09 exceeds 1.0e-12"),
+            ({1: {"observable": NON_HERMITIAN}, 0: {"observable": [[0.0, 0.0, 0.0]] * 3}},
+             "stages[0].observable: stages[0].observable: expected a 2x2 matrix"),
+            ({2: {"sigma": 0}, 1: {"observable": "Sz"}, 0: {"observable": [[1.0, 0.0], [0.0]]}},
+             "stages[0].observable: stages[0].observable[1]: expected 2 entries"),
+            # Python's json reads an integer beyond float range; converting it
+            # fails, but only after the earlier stages' errors are reported
+            ({0: {"sigma": -1}, 1: {"observable": [[10**400, 0], [0, 1]]}},
+             "stages[0].sigma: expected a positive number, got -1"),
+            ({0: {"observable": "Sy"}, 1: {"observable": [[[0, 10**400], 0], [0, 1]]}},
+             "stages[0].observable: unknown observable preset 'Sy' (use Sz, Sx or a matrix)"),
+            ({0: {"observable": NON_HERMITIAN}, 1: {"observable": [[[1, 0], [0, -(10**400)]], [[0, 0], [1, 0]]]}},
+             "stages[0].observable: max |M - M^dagger| = 5.000e-01 exceeds 1.0e-12"),
+        ],
+    )
+    def test_stage_order(self, capsys, tmp_path, edits, message):
+        payload = chain_payload()
+        for stage, fields in edits.items():
+            payload["stages"][stage].update(fields)
+        code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_stage_without_observable_before_bad_matrix(self, capsys, tmp_path):
+        payload = chain_payload()
+        del payload["stages"][1]["observable"]
+        payload["stages"][2]["observable"] = NON_HERMITIAN
+        code, _, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert (code, err) == (2, "error: stages[1]: missing required field 'observable'\n")

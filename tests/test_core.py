@@ -225,6 +225,63 @@ class TestFromMatrixChecks:
         assert obs.matrix[0, 0] == 1.0
         assert not obs.matrix.flags.writeable
 
+    def test_from_spectrum_keeps_its_own_matrix(self):
+        m = np.diag([1.0, 2.0])
+        obs = Observable.from_spectrum([1.0, 2.0], np.eye(2), matrix=m)
+        m[0, 0] = 5.0
+        assert obs.matrix[0, 0] == 1.0
+        assert obs.matrix.dtype == complex
+        assert not obs.matrix.flags.writeable
+
+
+class TestFromMatrices:
+    """A stack gives what one ``from_matrix`` call per matrix gives, and raises what its loop raises first."""
+
+    def test_equals_one_call_per_matrix(self, rng):
+        for _ in range(40):
+            dim = int(rng.integers(2, 5))
+            stack = [random_hermitian(rng, dim) for _ in range(int(rng.integers(1, 9)))]
+            # degenerate rows among nondegenerate ones take the per-group path
+            u = random_unitary(rng, dim)
+            stack[int(rng.integers(len(stack)))] = (u * ([1.0] * (dim - 1) + [2.0])) @ u.conj().T
+            for got, matrix in zip(Observable.from_matrices(np.array(stack)), stack):
+                want = Observable.from_matrix(matrix)
+                for name in ("matrix", "eigenvalues", "eigenvectors", "levels", "projectors", "level_of"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                    assert getattr(got, name).dtype == getattr(want, name).dtype
+                    assert not getattr(got, name).flags.writeable
+
+    def test_first_failing_matrix_raises(self):
+        ok, bad_h = np.eye(2), np.array([[0.0, 1.0], [0.5, 0.0]])
+        nan = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(NotHermitian) as info:
+            Observable.from_matrices([ok, bad_h, nan])
+        assert info.value.row == 1
+        with pytest.raises(ValueError, match="non-finite") as info:
+            Observable.from_matrices([ok, nan, bad_h])
+        assert info.value.row == 1
+
+    def test_solver_failure_names_its_matrix(self, monkeypatch):
+        eigh_ = np.linalg.eigh
+
+        def fail_on_marker(a):
+            if (np.asarray(a)[..., 0, 0] == 7.0).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh_(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", fail_on_marker)
+        stack = [np.eye(2), np.diag([3.0, 4.0]), np.diag([7.0, 1.0]), np.array([[0.0, 1.0], [0.5, 0.0]])]
+        with pytest.raises(NoConvergence, match="did not converge") as info:
+            Observable.from_matrices(stack)
+        assert info.value.row == 2
+
+    @pytest.mark.parametrize(
+        "matrices", [np.zeros((2, 2)), np.zeros((1, 2, 3)), np.zeros((1, 0, 0))]
+    )
+    def test_rejects_non_stacks(self, matrices):
+        with pytest.raises(ValueError, match="expected a stack of square matrices"):
+            Observable.from_matrices(matrices)
+
 
 class TestDensityMatrix:
     def test_pure_state_roundtrip(self):
