@@ -16,6 +16,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -51,26 +52,23 @@ STATE_PRESETS = {
 def _sweep_rows(
     n: int,
     engine: Callable[[FirstFailure], object],
-    row: Callable[[int, object], tuple],
+    columns: Callable[[int, object], Sequence[Sequence[float]]],
     label: Callable[[int], str] | None,
 ) -> list[tuple]:
-    """CSV rows of an ``n``-row sweep: one batched engine call, then per-row cells.
+    """CSV rows of an ``n``-row sweep: one batched engine call, then whole columns.
 
-    ``engine(rows)`` evaluates every row at once; ``row(i, result)`` adds
-    the per-row columns (closed forms, oracles) in row order. A failure is
-    the one a row-by-row loop would raise first, with ``label(i)`` of its
-    row, if given, in front of the message.
+    ``engine(rows)`` evaluates every row at once; ``columns(live, result)``
+    gives the CSV columns of the rows the engine left live. A failure is the
+    one a row-by-row loop would raise first, with ``label(exc.row)``, if
+    both are given, in front of the message.
     """
     rows = FirstFailure(n)
-    i = None
     try:
         result = engine(rows)
-        out = []
-        for i in range(rows.rows):
-            out.append(row(i, result))
+        out = list(zip(*columns(rows.rows, result)))
         rows.raise_first()
     except (SeqMeasError, ValueError) as exc:
-        failed = getattr(exc, "row", i)
+        failed = getattr(exc, "row", None)
         if failed is not None and label is not None:
             exc.args = (f"{label(failed)}: {exc}",)
         raise
@@ -123,8 +121,8 @@ def cmd_fig2(args) -> int:
     sigma1 = grid.tolist()
     rows = _sweep_rows(
         grid.size,
-        lambda r: backaction_variance_rows(rho0, sz, grid, sx, r).tolist(),
-        lambda i, generic: (sigma1[i], spin.var_sx_rho1_closed(sigma1[i]), generic[i]),
+        lambda r: backaction_variance_rows(rho0, sz, grid, sx, r),
+        lambda n, generic: (sigma1, spin.var_sx_rho1_closed(grid[:n]).tolist(), generic.tolist()),
         lambda i: f"sigma1 = {sigma1[i]!r}",
     )
     meta = _meta_lines(
@@ -149,12 +147,12 @@ def cmd_fig3(args) -> int:
 
     def engine(r):
         s2 = np.full(x1.size, sigma2)
-        return forward_stats_rows(rho0, sz, s1, sx, s2, x1, r).extracted_system_variance.tolist()
+        return forward_stats_rows(rho0, sz, s1, sx, s2, x1, r).extracted_system_variance
 
     rows = _sweep_rows(
         x1.size,
         engine,
-        lambda i, generic: (xs[i], ss[i], spin.var_sx_given_sz_closed(ss[i], xs[i]), generic[i]),
+        lambda n, generic: (xs, ss, spin.var_sx_given_sz_closed(s1[:n], x1[:n]).tolist(), generic.tolist()),
         lambda i: f"x1 = {xs[i]!r}, sigma1 = {ss[i]!r}",
     )
     meta = _meta_lines(
@@ -181,13 +179,13 @@ def cmd_fig4(args) -> int:
 
     def engine(r):
         s1 = np.full(x2.size, sigma1)
-        return backward_stats_rows(rho0, sz, s1, sx, s2, x2, r).extracted_system_variance.tolist()
+        return backward_stats_rows(rho0, sz, s1, sx, s2, x2, r).extracted_system_variance
 
     rows = _sweep_rows(
         x2.size,
         engine,
-        lambda i, generic: (
-            xs[i], ss[i], spin.var_sz_given_sx_closed(args.sigma1, ss[i], xs[i]), generic[i]
+        lambda n, generic: (
+            xs, ss, spin.var_sz_given_sx_closed(args.sigma1, s2[:n], x2[:n]).tolist(), generic.tolist()
         ),
         lambda i: f"x2 = {xs[i]!r}, sigma2 = {ss[i]!r}",
     )
@@ -211,11 +209,27 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _number(value, path: str, expected: str = "a number") -> float:
+    """A config number as a finite float, else a :class:`ConfigParseError` naming ``path``.
+
+    Python's ``json`` reads ``NaN``, ``Infinity`` and integers beyond float range.
+    """
+    if not _is_number(value):
+        raise ConfigParseError(f"{path}: expected {expected}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigParseError(f"{path}: integer out of float range") from None
+    if not math.isfinite(number):
+        raise ConfigParseError(f"{path}: expected a finite number, got {number!r}")
+    return number
+
+
 def _parse_complex_entry(entry, path: str) -> complex:
     if _is_number(entry):
-        return complex(entry)
+        return complex(_number(entry, path))
     if isinstance(entry, list) and len(entry) == 2 and all(_is_number(v) for v in entry):
-        return complex(entry[0], entry[1])
+        return complex(_number(entry[0], path), _number(entry[1], path))
     raise ConfigParseError(f"{path}: expected a number or [re, im] pair, got {entry!r}")
 
 
@@ -227,19 +241,26 @@ def _parse_matrix(obj, dim: int, path: str) -> np.ndarray:
         raise ConfigParseError(f"{path}: expected a {dim}x{dim} matrix")
     # whole-matrix conversion when every entry is a number, or every entry
     # an [re, im] pair of numbers; the exact type scan keeps out bools
-    # and strings, which np.array would convert silently
+    # and strings, which np.array would convert silently. An integer
+    # beyond float range or a non-finite entry is left to the entry walk.
     if set(map(type, obj)) == {list} and set(map(len, obj)) == {dim}:
         entries = list(itertools.chain.from_iterable(obj))
         kinds = set(map(type, entries))
-        if kinds <= _NUMBER_TYPES:
-            return np.array(obj, dtype=complex)
-        if (
-            kinds == {list}
-            and set(map(len, entries)) == {2}
-            and set(map(type, itertools.chain.from_iterable(entries))) <= _NUMBER_TYPES
-        ):
-            # a view keeps each part's bits, signed zeros included
-            return np.array(obj, dtype=float).view(complex)[..., 0]
+        matrix = None
+        try:
+            if kinds <= _NUMBER_TYPES:
+                matrix = np.array(obj, dtype=complex)
+            elif (
+                kinds == {list}
+                and set(map(len, entries)) == {2}
+                and set(map(type, itertools.chain.from_iterable(entries))) <= _NUMBER_TYPES
+            ):
+                # a view keeps each part's bits, signed zeros included
+                matrix = np.array(obj, dtype=float).view(complex)[..., 0]
+        except OverflowError:
+            pass
+        if matrix is not None and np.isfinite(matrix).all():
+            return matrix
     # anything else entry by entry, naming the first bad one
     rows = []
     for i, row in enumerate(obj):
@@ -265,8 +286,8 @@ def _matrix_observables(stages_cfg: list, dim: int):
     """The observables of the stages given as matrices, from one stacked spectral construction.
 
     Returns ``(observables, failure)``. ``observables`` maps a stage index
-    to its observable. ``failure`` is ``(stage index, error)`` for the
-    first stage whose matrix fails to convert or fails a check of
+    to its observable. ``failure`` is ``(stage index, ConfigParseError)``
+    for the first stage whose matrix fails to convert or fails a check of
     :meth:`Observable.from_matrices`, else ``None``. A config with a
     failure is never built, so ``observables`` then holds at most the
     stages before it. Stages whose observable is a preset or missing are
@@ -280,7 +301,7 @@ def _matrix_observables(stages_cfg: list, dim: int):
             continue
         try:
             matrices.append(_parse_matrix(obj, dim, f"stages[{i}].observable"))
-        except Exception as exc:  # raised when the stage-by-stage parse gets here
+        except ConfigParseError as exc:  # raised when the stage-by-stage parse gets here
             failure = (i, exc)
             break
         index.append(i)
@@ -288,7 +309,8 @@ def _matrix_observables(stages_cfg: list, dim: int):
         built = Observable.from_matrices(matrices) if matrices else []
     except (SeqMeasError, ValueError) as exc:
         # a stacked matrix comes before any that failed to convert
-        return {}, (index[exc.row], exc)
+        stage = index[exc.row]
+        return {}, (stage, ConfigParseError(f"stages[{stage}].observable: {exc}"))
     return dict(zip(index, built)), failure
 
 
@@ -301,11 +323,10 @@ def _parse_initial_state(obj, dim: int, path: str) -> DensityMatrix:
         if dim != 2:
             raise ConfigParseError(f"{path}: preset {obj!r} is 2-dimensional, config dim is {dim}")
         return DensityMatrix.pure(STATE_PRESETS[obj])
+    matrix = _parse_matrix(obj, dim, path)
     try:
-        return DensityMatrix.from_matrix(_parse_matrix(obj, dim, path))
-    except SeqMeasError as exc:
-        raise ConfigParseError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+        return DensityMatrix.from_matrix(matrix)
+    except (SeqMeasError, ValueError) as exc:
         raise ConfigParseError(f"{path}: {exc}") from exc
 
 
@@ -352,8 +373,7 @@ def _parse_sweep(sweep, n_stages: int, n_fixed: int) -> Sweep:
             f"(0 <= i < {n_fixed}) or stages.<i>.sigma (0 <= i < {n_stages})"
         )
     for key in ("min", "max"):
-        if not _is_number(sweep[key]):
-            raise ConfigParseError(f"sweep.{key}: expected a number, got {sweep[key]!r}")
+        _number(sweep[key], f"sweep.{key}")
     return Sweep(path, int(match[1]), sets_sigma, sweep)
 
 
@@ -379,19 +399,15 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Swe
             obs = _preset_observable(obs_cfg, dim, f"{path}.observable")
         elif failure is not None and failure[0] == i:
             # every earlier stage parsed, so the first failure is this stage's
-            error = failure[1]
-            if isinstance(error, (SeqMeasError, ValueError)):
-                raise ConfigParseError(f"{path}.observable: {error}") from error
-            raise error
+            raise failure[1]
         else:
             # None only ahead of the failing stage, so this chain is never built
             obs = observables.get(i)
-        sigma = _require_key(stage_cfg, "sigma", path)
-        if not _is_number(sigma) or sigma <= 0:
-            raise ConfigParseError(f"{path}.sigma: expected a positive number, got {sigma!r}")
-        stages.append(
-            MeasurementStage(obs, Pointer(float(sigma)), label=str(stage_cfg.get("label", "")))
-        )
+        raw = _require_key(stage_cfg, "sigma", path)
+        sigma = _number(raw, f"{path}.sigma", "a positive number")
+        if sigma <= 0:
+            raise ConfigParseError(f"{path}.sigma: expected a positive number, got {raw!r}")
+        stages.append(MeasurementStage(obs, Pointer(sigma), label=str(stage_cfg.get("label", ""))))
     query_cfg = _require_key(payload, "query", "top level")
     if not isinstance(query_cfg, dict):
         raise ConfigParseError("query: expected an object")
@@ -402,7 +418,7 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Swe
     if not isinstance(fixed, list) or not all(_is_number(v) for v in fixed):
         raise ConfigParseError("query.fixed_outcomes: expected an array of numbers")
     chain = MeasurementChain(tuple(stages), initial)
-    query = ChainQuery(free_index, tuple(float(v) for v in fixed))
+    query = ChainQuery(free_index, tuple(_number(v, f"query.fixed_outcomes[{i}]") for i, v in enumerate(fixed)))
     try:
         query.validate_for(chain)
     except ValueError as exc:
@@ -462,26 +478,27 @@ def cmd_chain(args) -> int:
 
     quad_cfg = QuadratureConfig(abs_tol=args.quad_tol)
 
-    def row(i, result):
-        stats = result.stats
-        cells = [
-            float(stats.mean[i]),
-            float(stats.variance[i]),
-            float(stats.extracted_system_variance[i]),
-        ]
-        if args.with_oracles:
+    def oracles(i, result) -> tuple[float, float, float]:
+        try:
             _, _, quad_var = quad_pair_sum_stats(result.density(i), quad_cfg)
             c, q = _row_case(chain, query, sweep, None if values is None else values[i])
             mc_var, mc_se = mc_conditional_variance(
                 c, q, SamplerConfig(samples=args.mc_samples, seed=args.seed)
             )
-            cells += [float(quad_var), float(mc_var), float(mc_se)]
-        if values is not None:
-            cells = [values[i]] + cells
-        return tuple(cells)
+        except (SeqMeasError, ValueError) as exc:
+            exc.row = getattr(exc, "row", i)
+            raise
+        return float(quad_var), float(mc_var), float(mc_se)
+
+    def columns(n, result):
+        stats = result.stats
+        cells = [stats.mean.tolist(), stats.variance.tolist(), stats.extracted_system_variance.tolist()]
+        if args.with_oracles:
+            cells += zip(*(oracles(i, result) for i in range(n)))
+        return cells if values is None else [values] + cells
 
     label = None if sweep is None else (lambda i: f"{sweep.path} = {values[i]!r}")
-    rows = _sweep_rows(len(fixed), engine, row, label)
+    rows = _sweep_rows(len(fixed), engine, columns, label)
     header = ["mean", "variance", "extracted_variance"]
     if args.with_oracles:
         header += ["quad_variance", "mc_variance", "mc_se"]

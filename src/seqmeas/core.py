@@ -420,6 +420,17 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()))
 
 
+def unit_amplitudes(amplitudes) -> np.ndarray:
+    """:class:`PureState`'s amplitudes and checks, without the object: a flat complex copy."""
+    v = np.array(amplitudes, dtype=complex).ravel()
+    if not np.all(np.isfinite(v.view(float))):
+        raise ValueError("amplitudes contain non-finite entries")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state norm {norm!r} differs from 1 beyond 1e-12")
+    return v
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm state vector."""
@@ -427,13 +438,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.amplitudes, dtype=complex).ravel()
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValueError("amplitudes contain non-finite entries")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm!r} differs from 1 beyond 1e-12")
-        object.__setattr__(self, "amplitudes", _frozen(v))
+        object.__setattr__(self, "amplitudes", _frozen(unit_amplitudes(self.amplitudes)))
 
     @property
     def dim(self) -> int:

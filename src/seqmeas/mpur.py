@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conditional import backward_stats, forward_stats
-from .core import DensityMatrix, Observable, PureState, require_same_dim
+from .core import DensityMatrix, Observable, PureState, require_same_dim, unit_amplitudes
 from .errors import DegenerateDirection, NotOrthogonal
 from .kraus import MeasurementStage
 
@@ -66,10 +66,11 @@ def orthogonal_state(psi: PureState, observable: Observable) -> PureState:
         which case the construction has nothing to normalize.
     """
     require_same_dim(psi.dim, observable.dim)
-    return _orthogonal_state(psi.amplitudes, observable.matrix)
+    return PureState(_orthogonal(psi.amplitudes, observable.matrix))
 
 
-def _orthogonal_state(v: np.ndarray, matrix: np.ndarray) -> PureState:
+def _orthogonal(v: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    # the amplitudes of orthogonal_state, before PureState's checks
     mean = _expect(v, matrix).real
     shifted = matrix @ v - mean * v
     norm = float(np.linalg.norm(shifted))
@@ -77,13 +78,18 @@ def _orthogonal_state(v: np.ndarray, matrix: np.ndarray) -> PureState:
         raise DegenerateDirection(
             f"variance {norm * norm:.3e} too small to define an orthogonal direction"
         )
-    return PureState(shifted / norm)
+    return shifted / norm
+
+
+def _commutator(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[complex, int]:
+    # <[A, B]> and the sign of commutator_sign
+    comm = _expect(v, a @ b - b @ a)
+    return comm, 1 if (1j * comm).real >= 0.0 else -1
 
 
 def commutator_sign(psi: PureState, a: Observable, b: Observable) -> int:
     """Sign making ``+/- i <[A, B]>`` nonnegative (+1 on ties)."""
-    comm = _expect(psi.amplitudes, a.matrix @ b.matrix - b.matrix @ a.matrix)
-    return 1 if (1j * comm).real >= 0.0 else -1
+    return _commutator(psi.amplitudes, a.matrix, b.matrix)[1]
 
 
 def bound_Ra(
@@ -99,17 +105,20 @@ def bound_Ra(
     nonnegative. ``psi_perp`` must be orthonormal to ``psi``.
     """
     require_same_dim(psi.dim, a.dim, b.dim, psi_perp.dim)
-    cross = abs(psi.overlap_with(psi_perp))
+    comm, auto = _commutator(psi.amplitudes, a.matrix, b.matrix)
+    sign = auto if sign is None else sign
+    return _bound_ra(psi.amplitudes, a.matrix, b.matrix, psi_perp.amplitudes, sign, comm)
+
+
+def _bound_ra(v, a, b, w, sign: int, comm: complex) -> float:
+    # R_a on amplitudes and matrices; ``comm`` is _commutator(v, a, b)
+    cross = abs(complex(np.vdot(v, w)))
     if cross > ORTHOGONALITY_TOL:
         raise NotOrthogonal(f"|<psi|psi_perp>| = {cross:.3e}")
-    if sign is None:
-        sign = commutator_sign(psi, a, b)
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    v, w = psi.amplitudes, psi_perp.amplitudes
-    comm = complex(np.vdot(v, (a.matrix @ b.matrix - b.matrix @ a.matrix) @ v))
     comm_term = (sign * 1j * comm).real
-    cross_amp = complex(np.vdot(v, (a.matrix + sign * 1j * b.matrix) @ w))
+    cross_amp = complex(np.vdot(v, (a + sign * 1j * b) @ w))
     return float(comm_term + abs(cross_amp) ** 2)
 
 
@@ -125,36 +134,43 @@ def bound_Rb(psi: PureState, a: Observable, b: Observable) -> float:
     within tolerance can sum to a matrix just outside it.
     """
     require_same_dim(psi.dim, a.dim, b.dim)
-    total = a.matrix + b.matrix
-    if _matrix_variance(psi.amplitudes, total) <= ZERO_VARIANCE_TOL:
+    return _bound_rb(psi.amplitudes, a.matrix + b.matrix)
+
+
+def _bound_rb(v: np.ndarray, total: np.ndarray) -> float:
+    # R_b on amplitudes and the matrix of A + B
+    if _matrix_variance(v, total) <= ZERO_VARIANCE_TOL:
         return 0.0
-    perp = _orthogonal_state(psi.amplitudes, total)
-    cross = complex(np.vdot(perp.amplitudes, total @ psi.amplitudes))
+    perp = unit_amplitudes(_orthogonal(v, total))
+    cross = complex(np.vdot(perp, total @ v))
     return float(0.5 * abs(cross) ** 2)
 
 
-def mpur_check(psi: PureState, a: Observable, b: Observable) -> MpurReport:
-    """Evaluate ``Var(A) + Var(B) >= max(R_a, R_b)`` for a pure state.
+def _bounds(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, float, int]:
+    """``(R_a, R_b, sign)`` for unit amplitudes ``v`` and the matrices of ``A`` and ``B``.
 
     The orthogonal state for ``R_a`` follows the standard recipe: built
     from ``A`` when possible, from ``B`` otherwise, and from any unit
     vector orthogonal to ``psi`` if the state is an eigenstate of both
     (every choice is admissible; the bound then degenerates gracefully).
     """
-    require_same_dim(psi.dim, a.dim, b.dim)
-    lhs = _pure_variance(psi, a) + _pure_variance(psi, b)
-    psi_perp = None
+    perp = None
     for reference in (a, b):
         try:
-            psi_perp = orthogonal_state(psi, reference)
+            perp = _orthogonal(v, reference)
             break
         except DegenerateDirection:
             continue
-    if psi_perp is None:
-        psi_perp = _any_orthogonal(psi)
-    sign = commutator_sign(psi, a, b)
-    r_a = bound_Ra(psi, a, b, psi_perp, sign=sign)
-    r_b = bound_Rb(psi, a, b)
+    perp = _any_orthogonal(v) if perp is None else unit_amplitudes(perp)
+    comm, sign = _commutator(v, a, b)
+    return _bound_ra(v, a, b, perp, sign, comm), _bound_rb(v, a + b), sign
+
+
+def mpur_check(psi: PureState, a: Observable, b: Observable) -> MpurReport:
+    """Evaluate ``Var(A) + Var(B) >= max(R_a, R_b)`` for a pure state (bounds of :func:`_bounds`)."""
+    require_same_dim(psi.dim, a.dim, b.dim)
+    lhs = _pure_variance(psi, a) + _pure_variance(psi, b)
+    r_a, r_b, sign = _bounds(psi.amplitudes, a.matrix, b.matrix)
     bound = max(r_a, r_b)
     return MpurReport(
         lhs_sum=float(lhs),
@@ -166,15 +182,14 @@ def mpur_check(psi: PureState, a: Observable, b: Observable) -> MpurReport:
     )
 
 
-def _any_orthogonal(psi: PureState) -> PureState:
-    v = psi.amplitudes
+def _any_orthogonal(v: np.ndarray) -> np.ndarray:
     for i in range(v.size):
         candidate = np.zeros_like(v)
         candidate[i] = 1.0
         candidate = candidate - np.vdot(v, candidate) * v
         norm = float(np.linalg.norm(candidate))
         if norm > 0.5:
-            return PureState(candidate / norm)
+            return unit_amplitudes(candidate / norm)
     raise DegenerateDirection("no orthogonal direction found")  # pragma: no cover
 
 
@@ -196,13 +211,10 @@ def conditional_mpur_sum(
     values, vectors = np.linalg.eigh(rho0.matrix)
     if values[-1] < 1.0 - 1e-8:
         raise ValueError("initial state must be pure for the reference bound")
-    psi = PureState(vectors[:, -1])
+    v = unit_amplitudes(vectors[:, -1])
     forward = forward_stats(rho0, stage1, stage2, x1).extracted_system_variance
     backward = backward_stats(rho0, stage1, stage2, x2).extracted_system_variance
-    report = mpur_check(psi, stage1.observable, stage2.observable)
+    r_a, r_b, _ = _bounds(v, stage1.observable.matrix, stage2.observable.matrix)
+    bound = max(r_a, r_b)
     total = float(forward + backward)
-    return ConditionalMpurSum(
-        sum=total,
-        classical_bound=report.bound,
-        below=bool(total < report.bound),
-    )
+    return ConditionalMpurSum(sum=total, classical_bound=bound, below=bool(total < bound))

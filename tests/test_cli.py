@@ -112,6 +112,22 @@ class TestFig4:
             if x2 == -1.0 and abs(sigma2 - 0.1) < 1e-12:
                 assert closed > 0.25
 
+    @pytest.mark.parametrize(
+        "sigma1,message",
+        [
+            # the engine passes the row and the closed form's denominator fails
+            ("5e7", "s1*s2 - 2 = 0.000e+00"),
+            # the engine fails the row first, so the closed form never sees it
+            ("1e8", "backward normalization 0.0 too small"),
+        ],
+    )
+    def test_first_error_engine_before_closed_form(self, capsys, sigma1, message):
+        code, out, err = run_cli(
+            capsys, "fig4", "--sigma1", sigma1, "--x2-min", "-1", "--x2-max", "1",
+            "--sigma2-min", "0.1", "--sigma2-max", "2",
+        )
+        assert (code, out, err) == (1, "", f"error: x2 = -1.0, sigma2 = 0.1: {message}\n")
+
 
 class TestChainCommand:
     def test_bundled_config(self, capsys):
@@ -620,17 +636,17 @@ class TestBooleansAreNotNumbers:
              "query.free_index: expected an integer, got True"),
             # all numbers but one: the whole-matrix scan falls back to the entry walk
             (lambda p: p["stages"][0].update(observable=[[True, 0.0], [0.0, 1.0]]),
-             "stages[0].observable: stages[0].observable[0][0]: expected a number or [re, im] pair, got True"),
+             "stages[0].observable[0][0]: expected a number or [re, im] pair, got True"),
             (lambda p: p["stages"][2].update(observable=[[0.0, 0.0], [0.0, False]]),
-             "stages[2].observable: stages[2].observable[1][1]: expected a number or [re, im] pair, got False"),
+             "stages[2].observable[1][1]: expected a number or [re, im] pair, got False"),
             # all pairs, one with a boolean part
             (lambda p: p["stages"][1].update(observable=[[[0.5, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
-             "stages[1].observable: stages[1].observable[0][0]: expected a number or [re, im] pair, got [0.5, False]"),
+             "stages[1].observable[0][0]: expected a number or [re, im] pair, got [0.5, False]"),
             # mixed numbers and pairs
             (lambda p: p["stages"][1].update(observable=[[0.5, [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]),
-             "stages[1].observable: stages[1].observable[1][1]: expected a number or [re, im] pair, got [True, 0.0]"),
+             "stages[1].observable[1][1]: expected a number or [re, im] pair, got [True, 0.0]"),
             (lambda p: p.update(initial_state=[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, True]]]),
-             "initial_state: initial_state[1][1]: expected a number or [re, im] pair, got [0.5, True]"),
+             "initial_state[1][1]: expected a number or [re, im] pair, got [0.5, True]"),
         ],
     )
     def test_rejected_with_field(self, capsys, tmp_path, edit, message):
@@ -682,9 +698,9 @@ class TestFirstErrorAcrossStages:
             ({0: {"observable": NON_HERMITIAN}, 1: {"observable": [[0.0, "x"], [0.0, 0.0]]}},
              "stages[0].observable: max |M - M^dagger| = 5.000e-01 exceeds 1.0e-12"),
             ({2: {"observable": NON_HERMITIAN}, 1: {"observable": [[0.0, "x"], [0.0, 0.0]]}},
-             "stages[1].observable: stages[1].observable[0][1]: expected a number or [re, im] pair, got 'x'"),
+             "stages[1].observable[0][1]: expected a number or [re, im] pair, got 'x'"),
             ({1: {"observable": [[float("nan"), 0.0], [0.0, 0.0]]}, 2: {"observable": NON_HERMITIAN}},
-             "stages[1].observable: matrix contains non-finite entries"),
+             "stages[1].observable[0][0]: expected a finite number, got nan"),
             ({0: {"observable": "Sy"}, 1: {"observable": NON_HERMITIAN}},
              "stages[0].observable: unknown observable preset 'Sy' (use Sz, Sx or a matrix)"),
             ({2: {"observable": NON_HERMITIAN}, 1: {"sigma": None}},
@@ -694,9 +710,9 @@ class TestFirstErrorAcrossStages:
             ({2: {"observable": NON_HERMITIAN}, 1: {"observable": [[0.0, 1.0], [1.0 + 1e-9, 0.0]]}},
              "stages[1].observable: max |M - M^dagger| = 1.000e-09 exceeds 1.0e-12"),
             ({1: {"observable": NON_HERMITIAN}, 0: {"observable": [[0.0, 0.0, 0.0]] * 3}},
-             "stages[0].observable: stages[0].observable: expected a 2x2 matrix"),
+             "stages[0].observable: expected a 2x2 matrix"),
             ({2: {"sigma": 0}, 1: {"observable": "Sz"}, 0: {"observable": [[1.0, 0.0], [0.0]]}},
-             "stages[0].observable: stages[0].observable[1]: expected 2 entries"),
+             "stages[0].observable[1]: expected 2 entries"),
             # Python's json reads an integer beyond float range; converting it
             # fails, but only after the earlier stages' errors are reported
             ({0: {"sigma": -1}, 1: {"observable": [[10**400, 0], [0, 1]]}},
@@ -720,3 +736,55 @@ class TestFirstErrorAcrossStages:
         payload["stages"][2]["observable"] = NON_HERMITIAN
         code, _, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
         assert (code, err) == (2, "error: stages[1]: missing required field 'observable'\n")
+
+
+class TestConfigNumbers:
+    """Non-finite numbers and integers beyond float range get a field diagnostic and exit 2.
+
+    Python's ``json`` reads ``NaN``, ``Infinity`` and integers of any size.
+    """
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda p: p["stages"][1].update(sigma=float("inf")),
+             "stages[1].sigma: expected a finite number, got inf"),
+            (lambda p: p["stages"][1].update(sigma=float("nan")),
+             "stages[1].sigma: expected a finite number, got nan"),
+            (lambda p: p["stages"][1].update(sigma=10**400),
+             "stages[1].sigma: integer out of float range"),
+            (lambda p: p["query"].update(fixed_outcomes=[0.3, float("nan"), -0.4]),
+             "query.fixed_outcomes[1]: expected a finite number, got nan"),
+            (lambda p: p["query"].update(fixed_outcomes=[0.3, 0.1, -(10**400)]),
+             "query.fixed_outcomes[2]: integer out of float range"),
+            (lambda p: p["stages"][2].update(observable=[[10**400, 0], [0, 1]]),
+             "stages[2].observable[0][0]: integer out of float range"),
+            (lambda p: p["stages"][2].update(observable=[[[0, 0], [1, 10**400]], [[1, 0], [0, 0]]]),
+             "stages[2].observable[0][1]: integer out of float range"),
+            (lambda p: p["stages"][0].update(observable=[[0.5, 0], [0, float("-inf")]]),
+             "stages[0].observable[1][1]: expected a finite number, got -inf"),
+            (lambda p: p.update(initial_state=[[10**400, 0], [0, 0]]),
+             "initial_state[0][0]: integer out of float range"),
+            (lambda p: p.update(sweep={"path": "query.fixed_outcomes.0", "min": -(10**400), "max": 1, "steps": 3}),
+             "sweep.min: integer out of float range"),
+            (lambda p: p.update(sweep={"path": "stages.1.sigma", "min": 0.1, "max": 10**400, "steps": 3}),
+             "sweep.max: integer out of float range"),
+            (lambda p: p.update(sweep={"path": "stages.1.sigma", "min": 0.1, "max": float("inf"), "steps": 3}),
+             "sweep.max: expected a finite number, got inf"),
+        ],
+    )
+    def test_field_diagnostic(self, capsys, tmp_path, edit, message):
+        payload = json.loads(CHAIN4.read_text())
+        edit(payload)
+        with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):
+            parse_chain_config(payload)
+        code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_integer_entries_keep_their_values(self):
+        payload = json.loads(CHAIN4.read_text())
+        payload["stages"][1].update(observable=[[1, 2], [2, -1]], sigma=2)
+        payload["query"]["fixed_outcomes"] = [1, 0, -1]
+        chain, query, _ = parse_chain_config(payload)
+        assert np.array_equal(chain.stages[1].observable.matrix, [[1, 2], [2, -1]])
+        assert chain.stages[1].sigma == 2.0 and query.fixed_outcomes == (1.0, 0.0, -1.0)

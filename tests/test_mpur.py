@@ -218,3 +218,47 @@ class TestConditionalMpurSum:
                     total_min = min(total_min, result.sum)
                     assert result.sum >= 0.125 - 1e-6
         assert total_min <= 0.125 + 1e-3
+
+
+class TestConditionalMpurSumRanges:
+    """Over the benchmark's ranges the sum is finite and matches the closed forms."""
+
+    def test_finite_and_matches_closed_forms(self, plus):
+        rng = np.random.default_rng(20260)
+        bands = ((0.25, 0.35), (0.8, 1.2), (30.0, 300.0))
+        for t in range(240):
+            lo, hi = bands[t % 3]
+            sigma1 = float(rng.uniform(lo, hi))
+            sigma2 = float(rng.uniform(0.1, 1.2))
+            x1 = float(rng.uniform(0.0, 0.55))
+            x2 = float(rng.uniform(-0.6, 2.1))
+            result = conditional_mpur_sum(
+                plus,
+                MeasurementStage(spin.s_z(), Pointer(sigma1)),
+                MeasurementStage(spin.s_x(), Pointer(sigma2)),
+                x1,
+                x2,
+            )
+            case = (sigma1, sigma2, x1, x2)
+            assert np.isfinite(result.sum), case
+            ref = spin.var_sx_given_sz_closed(sigma1, x1) + spin.var_sz_given_sx_closed(sigma1, sigma2, x2)
+            assert abs(result.sum - ref) / max(1.0, abs(ref)) < 1e-9, case
+            assert abs(result.classical_bound - 0.25) < 1e-12, case
+            assert result.below == (result.sum < result.classical_bound), case
+
+    def test_bound_is_the_mpur_check_bound(self, rng):
+        # the probe's bound and the full report come from one computation,
+        # on the state vector the probe takes from the density matrix
+        for _ in range(40):
+            dim = int(rng.integers(2, 4))
+            rho = random_pure(rng, dim).density()
+            psi = PureState(np.linalg.eigh(rho.matrix)[1][:, -1])
+            a, b = random_observable(rng, dim), random_observable(rng, dim)
+            result = conditional_mpur_sum(
+                rho,
+                MeasurementStage(a, Pointer(float(rng.uniform(0.5, 1.5)))),
+                MeasurementStage(b, Pointer(float(rng.uniform(0.5, 1.5)))),
+                float(rng.uniform(-0.5, 0.5)),
+                float(rng.uniform(-0.5, 0.5)),
+            )
+            assert result.classical_bound == mpur_check(psi, a, b).bound

@@ -17,6 +17,13 @@ class TestPresets:
         assert abs(variance_of(spin.s_z(), spin.plus_state()) - 0.25) < 1e-15
         assert variance_of(spin.s_x(), spin.plus_state()) < 1e-15
 
+    def test_built_once_and_read_only(self):
+        for preset in (spin.s_z, spin.s_x, spin.plus_state):
+            shared = preset()
+            assert preset() is shared
+            arrays = [v for v in vars(shared).values() if isinstance(v, np.ndarray)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+
 
 class TestRho1Closed:
     def test_off_diagonal_value(self):
@@ -165,3 +172,68 @@ class TestClosedVsGenericGrid:
         r_a, r_b = spin.mpur_spin_constants()
         assert abs(report.r_a - r_a) < 1e-12
         assert abs(report.r_b - r_b) < 1e-12
+
+
+def _scalar_reference(name, *args):
+    """The closed forms as scalar Python arithmetic, one call per element."""
+    if name == "rho1":
+        (sigma1,) = args
+        return 0.25 * (1.0 - float(np.exp(-1.0 / (4.0 * sigma1 * sigma1))))
+    if name == "forward":
+        sigma1, x1 = args
+        t = float(np.tanh(x1 / (2.0 * sigma1 * sigma1)))
+        return 0.25 * t * t
+    sigma1, sigma2, x2 = args
+    e1 = 1.0 / (8.0 * sigma1 * sigma1)
+    e2 = x2 / (sigma2 * sigma2)
+    if e1 > 700.0:
+        return 0.25
+    s1 = 1.0 + float(np.exp(e1))
+    two_over_s2 = 0.0 if e2 > 700.0 else 2.0 / (1.0 + float(np.exp(e2)))
+    return 0.25 * (s1 - 1.0) / (s1 - two_over_s2)
+
+
+class TestClosedFormArrays:
+    """An array call gives, element by element, the bits of one scalar call per element."""
+
+    def draws(self, rng, n=4000):
+        # sigma1 below 0.0134 takes the e1 > 700 branch; x2 / sigma2^2 > 700 the other
+        sigma1 = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        sigma2 = 10.0 ** rng.uniform(-2.0, 1.0, n)
+        x = rng.uniform(-3.0, 3.0, n)
+        return sigma1, sigma2, x
+
+    def test_branches_reached(self, rng):
+        sigma1, sigma2, x = self.draws(rng)
+        e1, e2 = 1.0 / (8.0 * sigma1**2), x / sigma2**2
+        assert (e1 > 700).sum() > 100 and (e2 > 700).sum() > 100 and (x < 0).sum() > 100
+
+    @pytest.mark.parametrize(
+        "name,fn,cols",
+        [
+            ("rho1", spin.var_sx_rho1_closed, (0,)),
+            ("forward", spin.var_sx_given_sz_closed, (0, 2)),
+            ("backward", spin.var_sz_given_sx_closed, (0, 1, 2)),
+        ],
+    )
+    def test_elementwise_bits(self, rng, name, fn, cols):
+        draws = self.draws(rng)
+        args = [draws[c] for c in cols]
+        got = fn(*args)
+        assert isinstance(got, np.ndarray) and got.shape == args[0].shape
+        rows = [a.tolist() for a in args]
+        expected = [_scalar_reference(name, *element) for element in zip(*rows)]
+        assert got.tolist() == expected
+        for element in list(zip(*rows))[:200]:
+            value = fn(*element)
+            assert type(value) is float and value == _scalar_reference(name, *element)
+
+    def test_first_nonpositive_denominator_raises_with_row(self):
+        # at sigma1 = 5e7, s1 rounds to 2 and 2/s2 to 2 once x2/sigma2^2 < -37
+        x2 = np.array([0.5, 0.0, -0.1, -1.0, 0.2, -2.0])
+        with pytest.raises(DenominatorNonPositive) as info:
+            spin.var_sz_given_sx_closed(5e7, 0.1, x2)
+        assert info.value.row == 3
+        with pytest.raises(DenominatorNonPositive) as scalar:
+            spin.var_sz_given_sx_closed(5e7, 0.1, -1.0)
+        assert str(info.value) == str(scalar.value) == "s1*s2 - 2 = 0.000e+00"
