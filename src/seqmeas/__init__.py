@@ -37,7 +37,7 @@ from .errors import (
     ZeroLikelihood,
 )
 from .joint import JointModelResult, backaction_variance, joint_statistics, pointer1_variance, pointer2_variance, post_first_state
-from .kraus import EffectOperator, KrausOperator, MeasurementStage, completeness_defect, effect_at, kraus_at
+from .kraus import MeasurementStage, completeness_defect, effect_at, kraus_at
 from .mpur import ConditionalMpurSum, MpurReport, bound_Ra, bound_Rb, conditional_mpur_sum, mpur_check, orthogonal_state
 from .oracle import (
     RNG_ALGORITHM,
@@ -47,7 +47,7 @@ from .oracle import (
     quad_moment,
     sample_chain,
 )
-from .pointer import GaussianPairSum, GaussianPairTerm, Pointer, amplitude, overlap, pair_moment, sum_moment
+from .pointer import GaussianPairSum, Pointer, amplitude, overlap, pair_moment
 
 __version__ = "0.1.0"
 
@@ -62,13 +62,10 @@ __all__ = [
     "DenominatorNonPositive",
     "DensityMatrix",
     "DimensionMismatch",
-    "EffectOperator",
     "GaussianPairSum",
-    "GaussianPairTerm",
     "InvalidOrder",
     "InvalidRange",
     "JointModelResult",
-    "KrausOperator",
     "MeasurementChain",
     "MeasurementStage",
     "MpurReport",
@@ -117,6 +114,5 @@ __all__ = [
     "post_first_state",
     "quad_moment",
     "sample_chain",
-    "sum_moment",
     "variance_of",
 ]

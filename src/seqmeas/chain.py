@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditional import ConditionalStats, check_normalization, pair_centers, pair_rows_moments
+from .conditional import ConditionalStats, basis_hadamard, check_normalization, pair_centers, pair_rows_moments
 from .core import DensityMatrix, check_states
 from .errors import DimensionMismatch, FirstFailure, ZeroLikelihood
-from .kraus import EffectOperator, MeasurementStage, projector_sums, scaled_weight_rows
+from .kraus import MeasurementStage, fold
 from .pointer import GaussianPairSum, check_coefficients, check_residue, moment_sums, moment_terms
 
 #: Fixed outcomes farther than this many sigmas from every eigenvalue abort
@@ -70,9 +70,6 @@ class ChainQuery:
 
     def outcomes_before(self) -> tuple[float, ...]:
         return self.fixed_outcomes[: self.free_index - 1]
-
-    def outcomes_after(self) -> tuple[float, ...]:
-        return self.fixed_outcomes[self.free_index - 1 :]
 
 
 def _check_query_shape(chain: MeasurementChain, free_index: int, n_fixed: int) -> None:
@@ -133,12 +130,6 @@ def one_row(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np.ndar
     )
 
 
-def _fold(stage: MeasurementStage, sigmas, xs, matrices, log_scale):
-    weights, log_w = scaled_weight_rows(stage.observable.levels, sigmas, xs)
-    kraus = projector_sums(stage.observable.projectors, weights)
-    return kraus @ matrices @ kraus, log_scale + 2.0 * log_w
-
-
 def chain_state_rows(
     chain: MeasurementChain, outcomes: np.ndarray, sigmas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +143,7 @@ def chain_state_rows(
     matrices = chain.initial_state.matrix[None]
     log_scale = np.array([chain.initial_state.log_scale])
     for j, stage in enumerate(chain.stages[: outcomes.shape[1]]):
-        matrices, log_scale = _fold(stage, sigmas[:, j], outcomes[:, j], matrices, log_scale)
+        matrices, log_scale = fold(stage.observable, sigmas[:, j], outcomes[:, j], matrices, log_scale)
     return matrices, log_scale
 
 
@@ -182,24 +173,22 @@ def effect_chain_rows(
     log_scale = np.zeros(1)
     first = len(chain) - n_fixed
     for k in reversed(range(n_fixed)):
-        matrices, log_scale = _fold(
-            chain.stages[first + k], sigmas[:, first + k], outcomes[:, k], matrices, log_scale
+        matrices, log_scale = fold(
+            chain.stages[first + k].observable, sigmas[:, first + k], outcomes[:, k], matrices, log_scale
         )
     return matrices, log_scale
 
 
-def effect_chain(chain: MeasurementChain, outcomes: Sequence[float]) -> EffectOperator:
+def effect_chain(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np.ndarray, float]:
     """Effect product of the last ``len(outcomes)`` stages at fixed outcomes.
 
     Builds ``Omega_{k+1}^dagger ... Omega_N^dagger Omega_N ... Omega_{k+1}``
-    from the inside out; an empty outcome list gives the identity.
+    from the inside out; an empty outcome list gives the identity. Returns
+    ``(matrix, log_scale)``: the physical operator is
+    ``exp(log_scale) * matrix``, so the matrix stays O(1).
     """
     matrices, log_scale = effect_chain_rows(chain, *one_row(chain, outcomes))
-    return EffectOperator(
-        matrix=matrices[0],
-        outcomes=tuple(float(x) for x in outcomes),
-        log_scale=float(log_scale[0]),
-    )
+    return matrices[0], float(log_scale[0])
 
 
 def _numerator_rows(
@@ -230,26 +219,8 @@ def _numerator_rows(
     rho, _ = chain_state_rows(chain, fixed[:n, :free], sigmas[:n])
     n = check_states(rho, rows)
     effect, _ = effect_chain_rows(chain, fixed[:n, free:], sigmas[:n])
-    v = chain.stages[free].observable.eigenvectors
-    rho_in_basis = v.conj().T @ rho[:n] @ v
-    effect_in_basis = v.conj().T @ effect @ v
-    coeffs = rho_in_basis * np.swapaxes(effect_in_basis, -1, -2)
+    coeffs = basis_hadamard(chain.stages[free].observable.eigenvectors, rho[:n], effect)
     return coeffs if len(coeffs) == n else np.repeat(coeffs, n, axis=0)
-
-
-def conditional_numerator(
-    chain: MeasurementChain, query: ChainQuery
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Coefficient matrix, pair centers and sigma of the conditional density.
-
-    In the free stage's (full) eigenbasis the coefficients are the Hadamard
-    product of the pre-stage chain state and the transposed effect product,
-    so the matrix is Hermitian PSD and the pair sum it induces is a
-    nonnegative density.
-    """
-    coeffs = _numerator_rows(chain, query.free_index, *one_row(chain, query.fixed_outcomes), FirstFailure(1))
-    free_stage = chain.stages[query.free_index - 1]
-    return coeffs[0], free_stage.observable.eigenvalues, free_stage.sigma
 
 
 def _pair_rows(chain, free_index, fixed, sigmas, rows: FirstFailure):
@@ -310,9 +281,3 @@ def conditional_stats_k(chain: MeasurementChain, query: ChainQuery) -> ChainResu
         chain, query.free_index, *one_row(chain, query.fixed_outcomes), FirstFailure(1)
     ).result(0)
 
-
-def joint_outcome_likelihood(chain: MeasurementChain, outcomes: Sequence[float]) -> float:
-    """Joint density value of a full outcome record (may underflow to 0.0)."""
-    if len(outcomes) != len(chain):
-        raise ValueError("need one outcome per stage")
-    return chain_state(chain, outcomes).trace

@@ -111,8 +111,14 @@ def _grid(lo: float, hi: float, steps: int, *, log: bool) -> np.ndarray:
     if log:
         if lo <= 0:
             raise InvalidRange("log-spaced grid needs a positive minimum")
-        return np.geomspace(lo, hi, steps)
-    return np.linspace(lo, hi, steps)
+        # a width whose square underflows leaves the engine no finite state
+        if lo * lo < np.finfo(float).tiny:
+            raise InvalidRange(f"log-spaced grid needs a minimum whose square is a normal float, got {lo}")
+    try:
+        return np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
+    except (ValueError, OverflowError, IndexError):
+        # numpy refuses a size beyond what it can index before allocating
+        raise InvalidRange(f"steps = {steps} is beyond the largest array numpy can build") from None
 
 
 def cmd_fig2(args) -> int:
@@ -282,38 +288,6 @@ def _preset_observable(name: str, dim: int, path: str) -> Observable:
     return preset
 
 
-def _matrix_observables(stages_cfg: list, dim: int):
-    """The observables of the stages given as matrices, from one stacked spectral construction.
-
-    Returns ``(observables, failure)``. ``observables`` maps a stage index
-    to its observable. ``failure`` is ``(stage index, ConfigParseError)``
-    for the first stage whose matrix fails to convert or fails a check of
-    :meth:`Observable.from_matrices`, else ``None``. A config with a
-    failure is never built, so ``observables`` then holds at most the
-    stages before it. Stages whose observable is a preset or missing are
-    left to the stage-by-stage parse.
-    """
-    index, matrices, failure = [], [], None
-    for i, stage_cfg in enumerate(stages_cfg):
-        obj = stage_cfg.get("observable", "") if isinstance(stage_cfg, dict) else ""
-        if isinstance(obj, str):
-            # a preset, or a stage the stage-by-stage parse rejects
-            continue
-        try:
-            matrices.append(_parse_matrix(obj, dim, f"stages[{i}].observable"))
-        except ConfigParseError as exc:  # raised when the stage-by-stage parse gets here
-            failure = (i, exc)
-            break
-        index.append(i)
-    try:
-        built = Observable.from_matrices(matrices) if matrices else []
-    except (SeqMeasError, ValueError) as exc:
-        # a stacked matrix comes before any that failed to convert
-        stage = index[exc.row]
-        return {}, (stage, ConfigParseError(f"stages[{stage}].observable: {exc}"))
-    return dict(zip(index, built)), failure
-
-
 def _parse_initial_state(obj, dim: int, path: str) -> DensityMatrix:
     if isinstance(obj, str):
         if obj not in STATE_PRESETS:
@@ -388,26 +362,42 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Swe
     stages_cfg = _require_key(payload, "stages", "top level")
     if not isinstance(stages_cfg, list) or not stages_cfg:
         raise ConfigParseError("stages: expected a non-empty array")
-    observables, failure = _matrix_observables(stages_cfg, dim)
-    stages = []
+    # matrix observables are collected and built by one stacked spectral
+    # construction; it runs before any stage error is raised, so a matrix
+    # that fails it is reported first, as its own stage's error
+    parsed, matrices, matrix_stages = [], [], []
+
+    def build_matrices() -> list[Observable]:
+        try:
+            return Observable.from_matrices(matrices) if matrices else []
+        except (SeqMeasError, ValueError) as exc:
+            raise ConfigParseError(f"stages[{matrix_stages[exc.row]}].observable: {exc}") from exc
+
     for i, stage_cfg in enumerate(stages_cfg):
         path = f"stages[{i}]"
-        if not isinstance(stage_cfg, dict):
-            raise ConfigParseError(f"{path}: expected an object")
-        obs_cfg = _require_key(stage_cfg, "observable", path)
-        if isinstance(obs_cfg, str):
-            obs = _preset_observable(obs_cfg, dim, f"{path}.observable")
-        elif failure is not None and failure[0] == i:
-            # every earlier stage parsed, so the first failure is this stage's
-            raise failure[1]
-        else:
-            # None only ahead of the failing stage, so this chain is never built
-            obs = observables.get(i)
-        raw = _require_key(stage_cfg, "sigma", path)
-        sigma = _number(raw, f"{path}.sigma", "a positive number")
-        if sigma <= 0:
-            raise ConfigParseError(f"{path}.sigma: expected a positive number, got {raw!r}")
-        stages.append(MeasurementStage(obs, Pointer(sigma), label=str(stage_cfg.get("label", ""))))
+        try:
+            if not isinstance(stage_cfg, dict):
+                raise ConfigParseError(f"{path}: expected an object")
+            obs_cfg = _require_key(stage_cfg, "observable", path)
+            obs = None
+            if isinstance(obs_cfg, str):
+                obs = _preset_observable(obs_cfg, dim, f"{path}.observable")
+            else:
+                matrices.append(_parse_matrix(obs_cfg, dim, f"{path}.observable"))
+                matrix_stages.append(i)
+            raw = _require_key(stage_cfg, "sigma", path)
+            sigma = _number(raw, f"{path}.sigma", "a positive number")
+            if sigma <= 0:
+                raise ConfigParseError(f"{path}.sigma: expected a positive number, got {raw!r}")
+        except ConfigParseError:
+            build_matrices()
+            raise
+        parsed.append((obs, sigma, str(stage_cfg.get("label", ""))))
+    built = iter(build_matrices())
+    stages = [
+        MeasurementStage(next(built) if obs is None else obs, Pointer(sigma), label=label)
+        for obs, sigma, label in parsed
+    ]
     query_cfg = _require_key(payload, "query", "top level")
     if not isinstance(query_cfg, dict):
         raise ConfigParseError("query: expected an object")

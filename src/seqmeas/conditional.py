@@ -23,7 +23,7 @@ from .core import (
     require_same_dim,
 )
 from .errors import FirstFailure, VarianceInconsistency, ZeroLikelihood
-from .kraus import MeasurementStage, projector_sums, scaled_weight_rows
+from .kraus import MeasurementStage, fold, projector_sums
 from .pointer import CENTERS, GaussianPairSum, check_coefficients, check_residue, moment_sums, moment_terms
 
 #: Extracted variances in [-EXTRACTED_CLAMP, 0) clamp to zero; below raises.
@@ -81,6 +81,18 @@ def pair_centers(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centers of the ``d^2`` pair terms of a density over a full eigenbasis."""
     d = eigenvalues.size
     return np.repeat(eigenvalues, d), np.tile(eigenvalues, d)
+
+
+def basis_hadamard(v: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> np.ndarray:
+    """Pair-sum coefficients ``(V^H rho V) * (V^H E V)^T`` in the eigenbasis ``v``.
+
+    The Hadamard product of a state and the transposed effect, both written
+    in the free stage's eigenbasis: Hermitian and positive semidefinite
+    (Schur product of PSD factors), so the pair sum it induces is a
+    nonnegative density. ``rho`` and ``effect`` may be ``(B, d, d)`` stacks.
+    """
+    vh = v.conj().T
+    return (vh @ rho @ v) * np.swapaxes(vh @ effect @ v, -1, -2)
 
 
 def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str) -> int:
@@ -155,11 +167,9 @@ def conditional_state_rows(
     n = rows.check(
         ~np.isfinite(x1), lambda i: ValueError(f"outcome must be finite, got {float(x1[i])!r}")
     )
-    weights, log_w = scaled_weight_rows(obs1.levels, sigma1[:n], x1[:n])
-    kraus = projector_sums(obs1.projectors, weights)
-    matrices = kraus @ rho0.matrix @ kraus
+    matrices, log_scale = fold(obs1, sigma1[:n], x1[:n], rho0.matrix, rho0.log_scale)
     n = check_states(matrices, rows)
-    return matrices[:n], rho0.log_scale + 2.0 * log_w[:n]
+    return matrices[:n], log_scale[:n]
 
 
 def conditional_state(
@@ -281,31 +291,8 @@ def _backward_coeffs(rho0, obs1, sigma1, obs2, sigma2, x2, rows: FirstFailure) -
         ~np.isfinite(x2), lambda i: ValueError(f"outcome must be finite, got {float(x2[i])!r}")
     )
     effect = projector_sums(obs2.projectors, _scaled_effect_weights(obs2.levels, sigma2[:n], x2[:n]))
-    v = obs1.eigenvectors
-    rho_in_a = v.conj().T @ rho0.matrix @ v
-    effect_in_a = v.conj().T @ effect @ v
-    coeffs = (rho_in_a * np.swapaxes(effect_in_a, -1, -2)).reshape(n, -1)
+    coeffs = basis_hadamard(obs1.eigenvectors, rho0.matrix, effect).reshape(n, -1)
     return coeffs[: check_coefficients(coeffs, rows)]
-
-
-def backward_numerator(
-    rho0: DensityMatrix,
-    stage1: MeasurementStage,
-    stage2: MeasurementStage,
-    x2: float,
-) -> GaussianPairSum:
-    """Pair sum over ``x1`` proportional to ``Tr[rho_bar_1(x1) E(x2)]``.
-
-    Coefficients are Hadamard products of the initial state and the effect
-    operator in the first observable's eigenbasis, hence Hermitian and
-    positive semidefinite as a matrix (Schur product of PSD factors).
-    """
-    coeffs = _backward_coeffs(
-        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
-        _one(x2), FirstFailure(1),
-    )
-    centers_a, centers_b = pair_centers(stage1.observable.eigenvalues)
-    return GaussianPairSum(coeffs[0], centers_a, centers_b, stage1.sigma)
 
 
 def backward_density(
@@ -314,8 +301,18 @@ def backward_density(
     stage2: MeasurementStage,
     x2: float,
 ) -> ConditionalDensity:
-    """Density of the first outcome given the second: ``p(x1 | x2)``."""
-    numerator = backward_numerator(rho0, stage1, stage2, x2)
+    """Density of the first outcome given the second: ``p(x1 | x2)``.
+
+    The numerator is the pair sum over ``x1`` proportional to
+    ``Tr[rho_bar_1(x1) E(x2)]``, with :func:`basis_hadamard` coefficients
+    in the first observable's eigenbasis.
+    """
+    coeffs = _backward_coeffs(
+        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
+        _one(x2), FirstFailure(1),
+    )
+    centers_a, centers_b = pair_centers(stage1.observable.eigenvalues)
+    numerator = GaussianPairSum(coeffs[0], centers_a, centers_b, stage1.sigma)
     norm = numerator.moment(0)
     check_normalization(_one(norm), FirstFailure(1), "backward")
     return ConditionalDensity(

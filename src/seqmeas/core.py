@@ -470,12 +470,6 @@ def require_same_dim(*dims: int) -> None:
         raise DimensionMismatch(f"dimensions disagree: {dims}")
 
 
-def expectation_of(obs: Observable, rho: DensityMatrix) -> float:
-    """Tr[A rho] for a normalized state."""
-    require_same_dim(obs.dim, rho.dim)
-    return float(np.trace(obs.matrix @ rho.matrix).real)
-
-
 def variance_of(obs: Observable, rho: DensityMatrix) -> float:
     """Variance Tr[A^2 rho] - Tr[A rho]^2 of an observable in a state.
 

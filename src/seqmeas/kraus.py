@@ -36,27 +36,6 @@ class MeasurementStage:
         return self.pointer.sigma
 
 
-@dataclass(frozen=True)
-class KrausOperator:
-    """Measurement operator for one pointer outcome."""
-
-    matrix: np.ndarray
-    outcome: float
-
-
-@dataclass(frozen=True)
-class EffectOperator:
-    """Positive operator ``M^dagger M`` for one or more pointer outcomes.
-
-    The physical operator is ``exp(log_scale) * matrix``; chained effects
-    keep their matrices O(1) and track magnitude separately.
-    """
-
-    matrix: np.ndarray
-    outcomes: tuple[float, ...]
-    log_scale: float = 0.0
-
-
 def scaled_kraus_weights(stage: MeasurementStage, x: float) -> tuple[np.ndarray, float]:
     """Per-level amplitudes rescaled so the largest is one.
 
@@ -90,22 +69,33 @@ def projector_sums(projectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def kraus_at(stage: MeasurementStage, x: float) -> KrausOperator:
-    """Kraus operator ``sum_a psi(x - a) P_a`` at pointer outcome ``x``.
+def fold(observable: Observable, sigmas, xs, matrices, log_scale) -> tuple[np.ndarray, np.ndarray]:
+    """One Kraus sandwich ``K rho K`` per (width, outcome) row.
+
+    ``K`` is the stage's Kraus operator with weights rescaled as in
+    :func:`scaled_weight_rows`; ``matrices`` is one ``(d, d)`` operator or
+    a ``(B, d, d)`` stack. Returns the ``(B, d, d)`` products and
+    ``log_scale`` plus twice each row's dropped log amplitude.
+    """
+    weights, log_w = scaled_weight_rows(observable.levels, sigmas, xs)
+    kraus = projector_sums(observable.projectors, weights)
+    return kraus @ matrices @ kraus, log_scale + 2.0 * log_w
+
+
+def kraus_at(stage: MeasurementStage, x: float) -> np.ndarray:
+    """Kraus operator ``sum_a psi(x - a) P_a`` at pointer outcome ``x``, as a matrix.
 
     Diagonal in the stage observable's eigenbasis; its operator norm never
     exceeds the peak amplitude ``amplitude(sigma, 0, 0)``.
     """
     w = amplitude(stage.pointer, x, stage.observable.levels)
-    matrix = projector_sums(stage.observable.projectors, w[None])[0]
-    return KrausOperator(matrix=matrix, outcome=float(x))
+    return projector_sums(stage.observable.projectors, w[None])[0]
 
 
-def effect_at(stage: MeasurementStage, x: float) -> EffectOperator:
-    """Effect operator ``sum_a psi(x - a)^2 P_a``; equals ``M^dagger M``."""
+def effect_at(stage: MeasurementStage, x: float) -> np.ndarray:
+    """Effect operator ``sum_a psi(x - a)^2 P_a`` as a matrix; equals ``M^dagger M``."""
     w = amplitude(stage.pointer, x, stage.observable.levels) ** 2
-    matrix = projector_sums(stage.observable.projectors, w[None])[0]
-    return EffectOperator(matrix=matrix, outcomes=(float(x),))
+    return projector_sums(stage.observable.projectors, w[None])[0]
 
 
 def default_domain(stage: MeasurementStage, pad_sigmas: float = 10.0) -> tuple[float, float]:

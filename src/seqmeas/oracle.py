@@ -212,7 +212,7 @@ def quad_moment(
 def pair_sum_domain(s: GaussianPairSum, pad_sigmas: float = 10.0) -> tuple[float, float]:
     """Interval containing all pair centers with a ``pad_sigmas`` margin."""
     centers = np.concatenate([s.centers_a, s.centers_b])
-    pad = pad_sigmas * float(s.sigmas.max())
+    pad = pad_sigmas * s.sigma
     return float(centers.min() - pad), float(centers.max() + pad)
 
 
@@ -427,7 +427,7 @@ def _sample_direct(rng, density: GaussianPairSum, n: int) -> np.ndarray:
     keep = diagonal & (density.coeffs.real > 0)
     weights = density.coeffs.real[keep]
     centers = density.centers_a[keep]
-    sigma = float(density.sigmas[0])
+    sigma = density.sigma
     probs = weights / weights.sum()
     comp = rng.choice(probs.size, size=n, p=probs)
     return centers[comp] + sigma * rng.standard_normal(n)
@@ -440,14 +440,10 @@ def _sample_rejection(
     proposal_centers: np.ndarray,
     n: int,
 ) -> np.ndarray:
-    sigma = float(density.sigmas[0])
+    sigma = density.sigma
     centers_a, centers_b = pair_centers(proposal_centers)
-    if not (
-        np.array_equal(density.centers_a, centers_a)
-        and np.array_equal(density.centers_b, centers_b)
-        and (density.sigmas == sigma).all()
-    ):
-        raise ValueError("density terms must pair the proposal centers at one shared sigma")
+    if not (np.array_equal(density.centers_a, centers_a) and np.array_equal(density.centers_b, centers_b)):
+        raise ValueError("density terms must pair the proposal centers")
     support = proposal_weights > 1e-300
     weights = proposal_weights[support] / proposal_weights[support].sum()
     centers = proposal_centers[support]

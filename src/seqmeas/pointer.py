@@ -10,7 +10,7 @@ pairs. Position is dimensionless and hbar = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,13 +47,11 @@ def amplitude(pointer: Pointer, x, a):
     return (2.0 * np.pi * s2) ** -0.25 * np.exp(-((np.asarray(x) - a) ** 2) / (4.0 * s2))
 
 
-def log_amplitude(pointer: Pointer, x, a):
-    """Natural log of :func:`amplitude`; safe for outcomes far from ``a``."""
-    return log_amplitude_at(pointer.sigma, x, a)
-
-
 def log_amplitude_at(sigma, x, a):
-    """:func:`log_amplitude` for a width (or broadcastable array of widths)."""
+    """Natural log of :func:`amplitude` for a width (or broadcastable array of widths).
+
+    Safe for outcomes far from ``a``.
+    """
     s2 = sigma * sigma
     return -0.25 * np.log(2.0 * np.pi * s2) - ((np.asarray(x) - a) ** 2) / (4.0 * s2)
 
@@ -81,53 +79,30 @@ def pair_moment(pointer: Pointer, a: float, aprime: float, n: int) -> float:
     return d * (mu * mu + pointer.sigma * pointer.sigma)
 
 
-@dataclass(frozen=True)
-class GaussianPairTerm:
-    """One weighted amplitude pair ``coeff * psi(x - center_a) psi(x - center_b)``."""
-
-    coeff: complex
-    center_a: float
-    center_b: float
-    sigma: float
-
-
 class GaussianPairSum:
-    """Finite sum of weighted Gaussian amplitude pairs.
+    """Finite sum of weighted Gaussian amplitude pairs at one pointer width.
 
-    Hermitian symmetry is expected: for every term ``(c, a, a', sigma)``
-    the sum must contain ``(conj(c), a', a, sigma)`` (possibly the same
-    term when ``a == a'`` and ``c`` is real). That guarantees real values
-    and real moments; :meth:`moment` enforces it via the imaginary residue.
+    Every term ``c * psi(x - a) psi(x - a')`` shares the width ``sigma`` of
+    the stage whose eigenvalues it pairs. Hermitian symmetry is expected:
+    for every term ``(c, a, a')`` the sum must contain ``(conj(c), a', a)``
+    (possibly the same term when ``a == a'`` and ``c`` is real). That
+    guarantees real values and real moments; :meth:`moment` enforces it via
+    the imaginary residue.
     """
 
-    __slots__ = ("coeffs", "centers_a", "centers_b", "sigmas")
+    __slots__ = ("coeffs", "centers_a", "centers_b", "sigma")
 
-    def __init__(self, coeffs, centers_a, centers_b, sigmas):
+    def __init__(self, coeffs, centers_a, centers_b, sigma):
         self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         self.centers_a = np.atleast_1d(np.asarray(centers_a, dtype=float))
         self.centers_b = np.atleast_1d(np.asarray(centers_b, dtype=float))
-        sig = np.asarray(sigmas, dtype=float)
-        if sig.ndim == 0:
-            sig = np.full(self.coeffs.shape, float(sig))
-        self.sigmas = sig
-        shapes = {a.shape for a in (self.coeffs, self.centers_a, self.centers_b, self.sigmas)}
+        self.sigma = Pointer(sigma).sigma
+        shapes = {a.shape for a in (self.coeffs, self.centers_a, self.centers_b)}
         if len(shapes) != 1:
             raise ValueError(f"field lengths disagree: {shapes}")
-        if np.any(self.sigmas <= 0.0) or not np.all(np.isfinite(self.sigmas)):
-            raise ValueError("all sigmas must be finite and positive")
         check_coefficients(self.coeffs[None], FirstFailure(1))
-        for arr in (self.coeffs, self.centers_a, self.centers_b, self.sigmas):
+        for arr in (self.coeffs, self.centers_a, self.centers_b):
             arr.setflags(write=False)
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[GaussianPairTerm]) -> "GaussianPairSum":
-        terms = list(terms)
-        return cls(
-            [t.coeff for t in terms],
-            [t.center_a for t in terms],
-            [t.center_b for t in terms],
-            [t.sigma for t in terms],
-        )
 
     @classmethod
     def mixture(cls, weights: Sequence[float], centers: Sequence[float], sigma: float) -> "GaussianPairSum":
@@ -138,19 +113,14 @@ class GaussianPairSum:
     def __len__(self) -> int:
         return self.coeffs.size
 
-    def terms(self) -> list[GaussianPairTerm]:
-        return [
-            GaussianPairTerm(complex(c), float(a), float(b), float(s))
-            for c, a, b, s in zip(self.coeffs, self.centers_a, self.centers_b, self.sigmas)
-        ]
-
     def value(self, x):
         """Pointwise value of the sum; real by Hermitian symmetry."""
         x = np.asarray(x, dtype=float)
         xa = x[..., None] - self.centers_a
         xb = x[..., None] - self.centers_b
-        s2 = self.sigmas * self.sigmas
-        gauss = (2.0 * np.pi * s2) ** -0.5 * np.exp(-(xa * xa + xb * xb) / (4.0 * s2))
+        s2 = self.sigma * self.sigma
+        # numpy's power, not Python's float power: the two round differently
+        gauss = np.power(2.0 * np.pi * s2, -0.5) * np.exp(-(xa * xa + xb * xb) / (4.0 * s2))
         out = (self.coeffs * gauss).sum(axis=-1)
         return out.real if out.ndim else float(out.real)
 
@@ -160,17 +130,17 @@ class GaussianPairSum:
 
     def _moment(self, n) -> float:
         # the (1, T) terms of one order are a one-row batch
-        terms = moment_terms(self.coeffs, self.centers_a, self.centers_b, self.sigmas, (n,))
+        terms = moment_terms(self.coeffs, self.centers_a, self.centers_b, self.sigma, (n,))
         totals, scales = moment_sums(terms)
         check_residue(totals, scales, FirstFailure(1))
         return float(totals.real[0])
 
     def center_second_moment(self) -> float:
-        """Like ``moment(2)`` but without the per-term ``sigma^2`` offset.
+        """Like ``moment(2)`` but without the ``sigma^2`` offset every term carries.
 
-        For a shared-sigma sum this isolates the spread of the pair centers,
-        so conditional variances can be extracted without subtracting two
-        nearly equal numbers.
+        This isolates the spread of the pair centers, so conditional
+        variances can be extracted without subtracting two nearly equal
+        numbers.
         """
         return self._moment(CENTERS)
 
@@ -187,18 +157,19 @@ def check_coefficients(coeffs: np.ndarray, rows: FirstFailure) -> int:
     )
 
 
-def moment_terms(coeffs, centers_a, centers_b, sigmas, orders) -> np.ndarray:
+def moment_terms(coeffs, centers_a, centers_b, sigma, orders) -> np.ndarray:
     """Per-term contributions to each moment in ``orders`` (0, 1, 2 or :data:`CENTERS`).
 
     ``coeffs`` may carry a leading batch axis; centers are shared by every
-    row and ``sigmas`` broadcasts against the coefficients. Returns one
-    stacked array with the orders along the first axis.
+    row and ``sigma`` (one width, or one per row as a ``(B, 1)`` column)
+    broadcasts against the coefficients. Returns one stacked array with the
+    orders along the first axis.
     """
     for n in orders:
         if n not in (0, 1, 2, CENTERS):
             raise InvalidOrder(f"moment order must be 0, 1 or 2, got {n!r}")
     d = centers_a - centers_b
-    weighted = coeffs * np.exp(-(d * d) / (8.0 * sigmas * sigmas))
+    weighted = coeffs * np.exp(-(d * d) / (8.0 * sigma * sigma))
     mu = 0.5 * (centers_a + centers_b)
     first = weighted * mu
     terms = []
@@ -208,7 +179,7 @@ def moment_terms(coeffs, centers_a, centers_b, sigmas, orders) -> np.ndarray:
         elif n == 1:
             terms.append(first)
         elif n == 2:
-            terms.append(weighted * (mu * mu + sigmas * sigmas))
+            terms.append(weighted * (mu * mu + sigma * sigma))
         else:
             terms.append(first * mu)
     return np.stack(terms)
@@ -229,7 +200,3 @@ def check_residue(totals: np.ndarray, scales: np.ndarray, rows: FirstFailure) ->
         ),
     )
 
-
-def sum_moment(s: GaussianPairSum, n: int) -> float:
-    """Module-level alias for :meth:`GaussianPairSum.moment`."""
-    return s.moment(n)

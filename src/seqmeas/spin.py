@@ -43,10 +43,6 @@ def plus_state() -> DensityMatrix:
     return DensityMatrix.pure(KET_PLUS)
 
 
-def up_state() -> DensityMatrix:
-    return DensityMatrix.pure(KET_UP)
-
-
 def plus_pure() -> PureState:
     return PureState(KET_PLUS)
 

@@ -114,7 +114,7 @@ def _suite_kraus(seed: int, trials: int) -> list[CheckResult]:
         obs = random_observable(rng, int(rng.integers(2, 5)))
         stage = MeasurementStage(obs, Pointer(float(rng.uniform(0.1, 2.0))))
         x = float(rng.uniform(-3, 3))
-        k = kraus_at(stage, x).matrix
+        k = kraus_at(stage, x)
         worst_comm = max(worst_comm, float(np.max(np.abs(k @ obs.matrix - obs.matrix @ k))))
         peak = (2 * np.pi * stage.sigma**2) ** -0.25
         worst_norm = max(worst_norm, float(np.linalg.norm(k, 2)) - peak)

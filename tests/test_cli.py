@@ -788,3 +788,40 @@ class TestConfigNumbers:
         chain, query, _ = parse_chain_config(payload)
         assert np.array_equal(chain.stages[1].observable.matrix, [[1, 2], [2, -1]])
         assert chain.stages[1].sigma == 2.0 and query.fixed_outcomes == (1.0, 0.0, -1.0)
+
+
+class TestGridLimits:
+    """Grids the engine or numpy cannot use are input errors (exit 2), never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fig2", "--sigma1-min", "1e-170", "--sigma1-max", "1e-160", "--steps", "3"),
+            ("fig3", "--sigma1-min", "1e-155", "--x1-steps", "3", "--sigma1-steps", "2"),
+            ("fig4", "--sigma2-min", "1e-155", "--x2-steps", "3", "--sigma2-steps", "2"),
+        ],
+    )
+    def test_width_whose_square_underflows(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: log-spaced grid needs a minimum whose square is a normal float")
+        assert err.count("\n") == 1
+
+    def test_smallest_width_with_a_normal_square_answers(self, capsys):
+        code, out, _ = run_cli(capsys, "fig2", "--sigma1-min", "1.5e-154", "--sigma1-max", "1e-150", "--steps", "3")
+        _, _, rows = parse_csv(out)
+        assert code == 0 and len(rows) == 3
+
+    # sizes numpy refuses before it allocates anything
+    @pytest.mark.parametrize("steps", [10**20, 2**63])
+    def test_fig2_steps_beyond_array_size(self, capsys, steps):
+        code, out, err = run_cli(capsys, "fig2", "--steps", str(steps))
+        assert (code, out) == (2, "")
+        assert err == f"error: steps = {steps} is beyond the largest array numpy can build\n"
+
+    def test_chain_sweep_steps_beyond_array_size(self, capsys, tmp_path):
+        payload = json.loads(CHAIN4.read_text())
+        payload["sweep"] = {"path": "query.fixed_outcomes.0", "min": -1.0, "max": 1.0, "steps": 10**400}
+        code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert (code, out) == (2, "")
+        assert err == f"error: steps = {10**400} is beyond the largest array numpy can build\n"

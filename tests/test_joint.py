@@ -22,7 +22,7 @@ from seqmeas.validate import random_density, random_observable
 
 def mixture_variance_by_quadrature(s: GaussianPairSum) -> float:
     centers = np.concatenate([s.centers_a, s.centers_b])
-    pad = 12 * float(s.sigmas.max())
+    pad = 12 * s.sigma
     lo, hi = centers.min() - pad, centers.max() + pad
     pts = sorted(set(centers.tolist()))
     m = [quad(lambda x: x**n * s.value(x), lo, hi, points=pts, limit=200)[0] for n in (0, 1, 2)]

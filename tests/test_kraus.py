@@ -31,14 +31,12 @@ class TestKrausAt:
         # both eigenvalues sit half a unit from x = 0
         expected = amplitude(stage_z.pointer, 0.0, 0.5)
         assert abs(expected - 0.6956590034192662) < 1e-12
-        np.testing.assert_allclose(k.matrix, expected * np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(k, expected * np.eye(2), atol=1e-15)
 
     def test_trivial_observable_scales_identity(self):
         stage = MeasurementStage(Observable.from_matrix(np.zeros((3, 3))), Pointer(0.8))
         k = kraus_at(stage, 0.37)
-        np.testing.assert_allclose(
-            k.matrix, amplitude(stage.pointer, 0.37, 0.0) * np.eye(3), atol=1e-15
-        )
+        np.testing.assert_allclose(k, amplitude(stage.pointer, 0.37, 0.0) * np.eye(3), atol=1e-15)
 
     def test_listing_style_sum_of_projectors(self, stage_z):
         # Omega = psi(x - e1) P1 + psi(x - e2) P2, assembled by hand
@@ -49,13 +47,13 @@ class TestKrausAt:
             amplitude(stage_z.pointer, x, 0.5) * p_up
             + amplitude(stage_z.pointer, x, -0.5) * p_down
         )
-        np.testing.assert_allclose(kraus_at(stage_z, x).matrix, manual, atol=1e-15)
+        np.testing.assert_allclose(kraus_at(stage_z, x), manual, atol=1e-15)
 
     def test_commutes_with_observable(self, rng):
         for _ in range(25):
             obs = random_observable(rng, int(rng.integers(2, 5)))
             stage = MeasurementStage(obs, Pointer(float(rng.uniform(0.1, 2))))
-            k = kraus_at(stage, float(rng.uniform(-2, 2))).matrix
+            k = kraus_at(stage, float(rng.uniform(-2, 2)))
             assert np.max(np.abs(k @ obs.matrix - obs.matrix @ k)) < 1e-12
 
     def test_operator_norm_bounded_by_peak(self, rng):
@@ -63,7 +61,7 @@ class TestKrausAt:
             obs = random_observable(rng, 3)
             sigma = float(rng.uniform(0.1, 2))
             stage = MeasurementStage(obs, Pointer(sigma))
-            k = kraus_at(stage, float(rng.uniform(-3, 3))).matrix
+            k = kraus_at(stage, float(rng.uniform(-3, 3)))
             peak = (2 * np.pi * sigma**2) ** -0.25
             assert np.linalg.norm(k, 2) <= peak + 1e-12
 
@@ -74,14 +72,14 @@ class TestEffectAt:
             obs = random_observable(rng, int(rng.integers(2, 4)))
             stage = MeasurementStage(obs, Pointer(float(rng.uniform(0.2, 2))))
             x = float(rng.uniform(-2, 2))
-            k = kraus_at(stage, x).matrix
-            e = effect_at(stage, x).matrix
+            k = kraus_at(stage, x)
+            e = effect_at(stage, x)
             assert np.max(np.abs(k.conj().T @ k - e)) < 1e-14
 
     def test_spin_x_eigenvalues(self, stage_x):
         e = effect_at(stage_x, 0.5)
-        w_plus = float(np.vdot(spin.KET_PLUS, e.matrix @ spin.KET_PLUS).real)
-        w_minus = float(np.vdot(spin.KET_MINUS, e.matrix @ spin.KET_MINUS).real)
+        w_plus = float(np.vdot(spin.KET_PLUS, e @ spin.KET_PLUS).real)
+        w_minus = float(np.vdot(spin.KET_MINUS, e @ spin.KET_MINUS).real)
         assert abs(w_plus - 0.7978845608028654) < 1e-12
         assert abs(w_minus - 0.7978845608028654 * np.exp(-2.0)) < 1e-12
 
@@ -90,7 +88,7 @@ class TestEffectAt:
             obs = random_observable(rng, 3)
             sigma = float(rng.uniform(0.2, 2))
             stage = MeasurementStage(obs, Pointer(sigma))
-            e = effect_at(stage, float(rng.uniform(-3, 3))).matrix
+            e = effect_at(stage, float(rng.uniform(-3, 3)))
             eigs = np.linalg.eigvalsh(e)
             assert eigs.min() >= -1e-14
             assert eigs.max() <= (2 * np.pi * sigma**2) ** -0.5 + 1e-12

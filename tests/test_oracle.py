@@ -323,7 +323,7 @@ def _reference_rejection(rng, density, proposal_weights, proposal_centers, n):
     # Gaussians per proposal) and the proposal pdf from one exp per support
     # level, both with the normalization constant. It makes the same draws
     # in the same order; returns the samples and the number of batches.
-    sigma = float(density.sigmas[0])
+    sigma = density.sigma
     support = proposal_weights > 1e-300
     weights = proposal_weights[support] / proposal_weights[support].sum()
     centers = proposal_centers[support]

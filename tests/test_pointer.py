@@ -6,14 +6,12 @@ from scipy.integrate import quad
 
 from seqmeas import (
     GaussianPairSum,
-    GaussianPairTerm,
     InvalidOrder,
     NonHermitianSum,
     Pointer,
     amplitude,
     overlap,
     pair_moment,
-    sum_moment,
 )
 
 finite_centers = st.floats(min_value=-3.0, max_value=3.0)
@@ -120,18 +118,13 @@ class TestGaussianPairSum:
         assert abs(numeric - 1.0) < 1e-10
 
     def test_conjugate_pair_cancels(self):
-        s = GaussianPairSum.from_terms(
-            [
-                GaussianPairTerm(1j, 0.3, -0.4, 0.7),
-                GaussianPairTerm(-1j, -0.4, 0.3, 0.7),
-            ]
-        )
+        s = GaussianPairSum([1j, -1j], [0.3, -0.4], [-0.4, 0.3], 0.7)
         assert s.moment(1) == 0.0
 
     def test_non_hermitian_rejected(self):
         s = GaussianPairSum([1j], [0.3], [-0.4], 0.7)
         with pytest.raises(NonHermitianSum):
-            sum_moment(s, 0)
+            s.moment(0)
 
     def test_invalid_order_on_sum(self):
         s = GaussianPairSum([1.0], [0.0], [0.0], 1.0)
@@ -157,3 +150,49 @@ class TestGaussianPairSum:
         centers = rng.uniform(-2, 2, size=4)
         s = GaussianPairSum.mixture(w, centers, 0.9)
         assert abs(s.moment(2) - (s.center_second_moment() + 0.81 * s.moment(0))) < 1e-12
+
+
+def per_term_reference(s: GaussianPairSum, x):
+    """``value``, ``moment(0/1/2)`` and ``center_second_moment`` of ``s`` with one width per term.
+
+    The arithmetic of a pair sum that stores its width once per term, kept
+    here so the one-width sum is checked against it bit for bit.
+    """
+    sigmas = np.full(s.coeffs.shape, s.sigma)
+    s2 = sigmas * sigmas
+    xa = x[..., None] - s.centers_a
+    xb = x[..., None] - s.centers_b
+    gauss = (2.0 * np.pi * s2) ** -0.5 * np.exp(-(xa * xa + xb * xb) / (4.0 * s2))
+    value = (s.coeffs * gauss).sum(axis=-1).real
+    d = s.centers_a - s.centers_b
+    weighted = s.coeffs * np.exp(-(d * d) / (8.0 * sigmas * sigmas))
+    mu = 0.5 * (s.centers_a + s.centers_b)
+    terms = [weighted * np.ones_like(mu), weighted * mu, weighted * (mu * mu + sigmas * sigmas), weighted * mu * mu]
+    return value, [float(np.stack([t]).sum(axis=-1).real[0]) for t in terms]
+
+
+class TestOneWidthBits:
+    """A pair sum with one width gives the bits of the same sum with that width on every term."""
+
+    def random_sums(self, rng, count):
+        for _ in range(count):
+            d = int(rng.integers(1, 5))
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            levels = np.sort(rng.uniform(-2.0, 2.0, d))
+            sigma = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+            coeffs = (m @ m.conj().T).ravel()
+            yield GaussianPairSum(coeffs, np.repeat(levels, d), np.tile(levels, d), sigma)
+
+    def test_value_and_moments(self, rng):
+        for s in self.random_sums(rng, 400):
+            # points at a few widths around the centers, where the terms are not all zero
+            x = s.centers_a[0] + s.sigma * rng.normal(size=5)
+            value, (m0, m1, m2, c2) = per_term_reference(s, x)
+            assert np.array_equal(s.value(x), value)
+            assert s.value(float(x[0])) == value[0]
+            assert (s.moment(0), s.moment(1), s.moment(2), s.center_second_moment()) == (m0, m1, m2, c2)
+
+    def test_width_checked_once(self):
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma must be finite and positive"):
+                GaussianPairSum([1.0], [0.0], [0.0], bad)
