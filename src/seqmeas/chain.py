@@ -1,10 +1,13 @@
-"""General N-stage sequential measurement engine.
+"""General N-stage sequential measurement engine, the library's one conditional engine.
 
 A chain applies its stages in order; a query fixes every outcome except
 one and asks for the density, mean and variance of the free one. The
-density of outcome ``k`` conditioned on all others is built from the
-chain state of the earlier stages and the effect product of the later
-ones; for N = 2 it reduces exactly to the two-stage conditional model.
+density of outcome ``k`` conditioned on all others is a Gaussian pair sum
+built from the chain state of the earlier stages and the effect product
+of the later ones (:func:`numerator_rows`). The two-stage forward and
+backward queries of :mod:`seqmeas.conditional` are its N = 2 case with
+free index 2 and 1; only the chain entry points here refuse fixed
+outcomes beyond :data:`OUTCOME_SIGMA_CUTOFF`.
 """
 
 from __future__ import annotations
@@ -14,15 +17,33 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditional import ConditionalStats, basis_hadamard, check_normalization, pair_centers, pair_rows_moments
-from .core import DensityMatrix, check_states
-from .errors import DimensionMismatch, FirstFailure, ZeroLikelihood
+from .core import DensityMatrix, Observable, check_states
+from .errors import DimensionMismatch, FirstFailure, VarianceInconsistency, ZeroLikelihood
 from .kraus import MeasurementStage, fold
-from .pointer import GaussianPairSum, check_coefficients, check_residue, moment_sums, moment_terms
+from .pointer import CENTERS, GaussianPairSum, check_coefficients, check_residue, moment_sums, moment_terms
 
 #: Fixed outcomes farther than this many sigmas from every eigenvalue abort
 #: a query instead of producing denormal likelihoods.
 OUTCOME_SIGMA_CUTOFF = 12.0
+
+#: Extracted variances in [-EXTRACTED_CLAMP, 0) clamp to zero; below raises.
+EXTRACTED_CLAMP = 1e-9
+
+
+@dataclass(frozen=True)
+class ConditionalStats:
+    """Mean/variance of a conditional pointer density, plus the system part.
+
+    ``extracted_system_variance`` is the pointer variance minus the shot
+    noise ``sigma^2`` of the free stage; ``clamped`` flags a sub-roundoff
+    negative value that was clipped to zero. The batched ``*_rows``
+    functions return one with an array entry per row in every field.
+    """
+
+    mean: float
+    variance: float
+    extracted_system_variance: float
+    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -47,6 +68,10 @@ class MeasurementChain:
     @property
     def dim(self) -> int:
         return self.initial_state.dim
+
+    @property
+    def observables(self) -> tuple[Observable, ...]:
+        return tuple(stage.observable for stage in self.stages)
 
 
 @dataclass(frozen=True)
@@ -131,19 +156,20 @@ def one_row(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np.ndar
 
 
 def chain_state_rows(
-    chain: MeasurementChain, outcomes: np.ndarray, sigmas: np.ndarray
+    rho0: DensityMatrix, observables: Sequence[Observable], outcomes: np.ndarray, sigmas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked :func:`chain_state` fold for ``(B, k)`` outcomes and ``(B, N)`` widths.
 
-    Returns ``(B, d, d)`` matrices and ``(B,)`` log scales, or single
-    broadcastable ones when no stage is folded. Callers check the states.
+    ``observables`` are the N stages' observables. Returns ``(B, d, d)``
+    matrices and ``(B,)`` log scales, or single broadcastable ones when no
+    stage is folded. Callers check the states.
     """
-    if outcomes.shape[1] > len(chain):
-        raise ValueError(f"{outcomes.shape[1]} outcomes for a {len(chain)}-stage chain")
-    matrices = chain.initial_state.matrix[None]
-    log_scale = np.array([chain.initial_state.log_scale])
-    for j, stage in enumerate(chain.stages[: outcomes.shape[1]]):
-        matrices, log_scale = fold(stage.observable, sigmas[:, j], outcomes[:, j], matrices, log_scale)
+    if outcomes.shape[1] > len(observables):
+        raise ValueError(f"{outcomes.shape[1]} outcomes for a {len(observables)}-stage chain")
+    matrices = rho0.matrix[None]
+    log_scale = np.array([rho0.log_scale])
+    for j in range(outcomes.shape[1]):
+        matrices, log_scale = fold(observables[j], sigmas[:, j], outcomes[:, j], matrices, log_scale)
     return matrices, log_scale
 
 
@@ -154,27 +180,28 @@ def chain_state(chain: MeasurementChain, outcomes: Sequence[float]) -> DensityMa
     trace is the joint likelihood of those outcomes, tracked as a log-scale
     prefactor.
     """
-    matrices, log_scale = chain_state_rows(chain, *one_row(chain, outcomes))
+    fixed, sigmas = one_row(chain, outcomes)
+    matrices, log_scale = chain_state_rows(chain.initial_state, chain.observables, fixed, sigmas)
     return DensityMatrix(matrices[0], log_scale=float(log_scale[0]))
 
 
 def effect_chain_rows(
-    chain: MeasurementChain, outcomes: np.ndarray, sigmas: np.ndarray
+    observables: Sequence[Observable], outcomes: np.ndarray, sigmas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`effect_chain` for ``(B, k)`` outcomes of the last ``k`` stages.
+    """:func:`effect_chain` for ``(B, k)`` outcomes of the last ``k`` of the N stages.
 
     Returns ``(B, d, d)`` effect matrices and ``(B,)`` log scales, or a
     single broadcastable identity and zero when ``k`` is 0.
     """
     n_fixed = outcomes.shape[1]
-    if n_fixed > len(chain):
-        raise ValueError(f"{n_fixed} outcomes for a {len(chain)}-stage chain")
-    matrices = np.eye(chain.dim, dtype=complex)[None]
+    if n_fixed > len(observables):
+        raise ValueError(f"{n_fixed} outcomes for a {len(observables)}-stage chain")
+    matrices = np.eye(observables[0].dim, dtype=complex)[None]
     log_scale = np.zeros(1)
-    first = len(chain) - n_fixed
+    first = len(observables) - n_fixed
     for k in reversed(range(n_fixed)):
         matrices, log_scale = fold(
-            chain.stages[first + k].observable, sigmas[:, first + k], outcomes[:, k], matrices, log_scale
+            observables[first + k], sigmas[:, first + k], outcomes[:, k], matrices, log_scale
         )
     return matrices, log_scale
 
@@ -187,21 +214,67 @@ def effect_chain(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np
     ``(matrix, log_scale)``: the physical operator is
     ``exp(log_scale) * matrix``, so the matrix stays O(1).
     """
-    matrices, log_scale = effect_chain_rows(chain, *one_row(chain, outcomes))
+    matrices, log_scale = effect_chain_rows(chain.observables, *one_row(chain, outcomes))
     return matrices[0], float(log_scale[0])
 
 
-def _numerator_rows(
-    chain: MeasurementChain, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure
-) -> np.ndarray:
-    # (n, d, d) coefficient matrices of the conditional density in the free
-    # stage's eigenbasis, after every per-row check up to the pair sum
-    _check_query_shape(chain, free_index, fixed.shape[1])
+def pair_centers(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers of the ``d^2`` pair terms of a density over a full eigenbasis."""
+    d = eigenvalues.size
+    return np.repeat(eigenvalues, d), np.tile(eigenvalues, d)
+
+
+def basis_hadamard(v: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> np.ndarray:
+    """Pair-sum coefficients ``(V^H rho V) * (V^H E V)^T`` in the eigenbasis ``v``.
+
+    The Hadamard product of a state and the transposed effect, both written
+    in the free stage's eigenbasis: Hermitian and positive semidefinite
+    (Schur product of PSD factors), so the pair sum it induces is a
+    nonnegative density. ``rho`` and ``effect`` may be ``(B, d, d)`` stacks.
+    """
+    vh = v.conj().T
+    return (vh @ rho @ v) * np.swapaxes(vh @ effect @ v, -1, -2)
+
+
+def numerator_rows(
+    rho0: DensityMatrix,
+    observables: Sequence[Observable],
+    free_index: int,
+    fixed: np.ndarray,
+    sigmas: np.ndarray,
+    rows: FirstFailure,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Conditional-density numerators of the free outcome, one pair sum per record.
+
+    ``fixed`` holds ``(B, N - 1)`` outcomes of the other stages and
+    ``sigmas`` the ``(B, N)`` widths, finite and positive as
+    :class:`Pointer` enforces. Each row checks, in order: finite outcomes,
+    the state of the earlier stages, finite coefficients. Returns the
+    ``(n, d^2)`` coefficients of the live rows, the shared pair centers
+    and the ``(n,)`` free widths. No outcome cutoff applies here.
+    """
     n = rows.check(~np.isfinite(fixed).all(axis=-1), lambda i: ValueError("fixed outcomes must be finite"))
     free = free_index - 1
-    # every fixed outcome against its stage's spectrum; a row fails at its
-    # first out-of-reach stage
-    others = [j for j in range(len(chain)) if j != free]
+    rho, _ = chain_state_rows(rho0, observables, fixed[:n, :free], sigmas[:n])
+    n = check_states(rho, rows)
+    effect, _ = effect_chain_rows(observables, fixed[:n, free:], sigmas[:n])
+    coeffs = basis_hadamard(observables[free].eigenvectors, rho[:n], effect)
+    coeffs = coeffs.reshape(-1, coeffs.shape[-1] ** 2)
+    if len(coeffs) != n:
+        coeffs = np.repeat(coeffs, n, axis=0)
+    n = check_coefficients(coeffs, rows)
+    centers_a, centers_b = pair_centers(observables[free].eigenvalues)
+    return coeffs[:n], centers_a, centers_b, sigmas[:n, free]
+
+
+def _pair_rows(chain, free_index, fixed, sigmas, rows: FirstFailure):
+    # the chain entry points' reach check, then the numerators: the query
+    # shape, and every fixed outcome against its stage's spectrum (a row
+    # fails at its first out-of-reach stage). Rows with a non-finite outcome
+    # are left to numerator_rows, whose finite check comes first in a row.
+    _check_query_shape(chain, free_index, fixed.shape[1])
+    n = rows.rows
+    others = [j for j in range(len(chain)) if j != free_index - 1]
     gaps = np.empty((n, len(others)))
     for k, j in enumerate(others):
         gaps[:, k] = np.abs(fixed[:n, k, None] - chain.stages[j].observable.levels).min(axis=-1)
@@ -215,23 +288,57 @@ def _numerator_rows(
             f"sigma from every eigenvalue (cutoff {OUTCOME_SIGMA_CUTOFF})"
         )
 
-    n = rows.check(far.any(axis=-1), unreachable)
-    rho, _ = chain_state_rows(chain, fixed[:n, :free], sigmas[:n])
-    n = check_states(rho, rows)
-    effect, _ = effect_chain_rows(chain, fixed[:n, free:], sigmas[:n])
-    coeffs = basis_hadamard(chain.stages[free].observable.eigenvectors, rho[:n], effect)
-    return coeffs if len(coeffs) == n else np.repeat(coeffs, n, axis=0)
+    rows.check(far.any(axis=-1) & np.isfinite(fixed[:n]).all(axis=-1), unreachable)
+    return numerator_rows(chain.initial_state, chain.observables, free_index, fixed, sigmas, rows)
 
 
-def _pair_rows(chain, free_index, fixed, sigmas, rows: FirstFailure):
-    # flattened numerator rows with finite coefficients, as a GaussianPairSum needs
-    coeffs = _numerator_rows(chain, free_index, fixed, sigmas, rows)
-    n = rows.rows
-    coeffs = coeffs.reshape(n, -1)
-    sigma = sigmas[:n, free_index - 1]
-    n = check_coefficients(coeffs, rows)
-    centers_a, centers_b = pair_centers(chain.stages[free_index - 1].observable.eigenvalues)
-    return coeffs[:n], centers_a, centers_b, sigma[:n]
+def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str) -> int:
+    return rows.check(
+        ~(np.isfinite(m0) & (m0 >= 1e-300)),
+        lambda i: ZeroLikelihood(f"{label} normalization {float(m0[i])!r} too small"),
+    )
+
+
+def _moment_stats(m0, m1, c2, sigma, rows: FirstFailure) -> ConditionalStats:
+    mean = m1 / m0
+    extracted = c2 / m0 - mean * mean
+    n = rows.check(
+        extracted < -EXTRACTED_CLAMP,
+        lambda i: VarianceInconsistency(
+            f"extracted variance {extracted[i]:.3e} below -{EXTRACTED_CLAMP:.0e}"
+        ),
+    )
+    clamped = extracted[:n] < 0.0
+    extracted = np.where(clamped, 0.0, extracted[:n])
+    return ConditionalStats(
+        mean=mean[:n],
+        variance=extracted + sigma[:n] * sigma[:n],
+        extracted_system_variance=extracted,
+        clamped=clamped,
+    )
+
+
+def pair_rows_moments(
+    coeffs, centers_a, centers_b, sigma, rows: FirstFailure, label: str
+) -> tuple[np.ndarray, ConditionalStats]:
+    """Zeroth moments and conditional statistics of ``(B, T)`` pair-sum rows.
+
+    ``sigma`` holds each row's shared width. The second moment of every
+    term carries the same additive ``sigma^2``, so the extracted variance
+    comes from the center spread alone instead of subtracting ``sigma^2``
+    from a possibly huge total. A row fails on the imaginary residue of a
+    moment, with :class:`ZeroLikelihood`
+    (``"<label> normalization ... too small"``) when its zeroth moment is
+    not above 1e-300, or on the extracted-variance clamp.
+    """
+    totals, scales = moment_sums(moment_terms(coeffs, centers_a, centers_b, sigma[:, None], (0, 1, CENTERS)))
+    m0, m1, c2 = totals.real
+    check_residue(totals[0], scales[0], rows)
+    check_normalization(m0, rows, label)
+    check_residue(totals[1], scales[1], rows)
+    n = check_residue(totals[2], scales[2], rows)
+    stats = _moment_stats(m0[:n], m1[:n], c2[:n], sigma, rows)
+    return m0[: rows.rows], stats
 
 
 def conditional_density_rows(
@@ -280,4 +387,3 @@ def conditional_stats_k(chain: MeasurementChain, query: ChainQuery) -> ChainResu
     return conditional_stats_rows(
         chain, query.free_index, *one_row(chain, query.fixed_outcomes), FirstFailure(1)
     ).result(0)
-

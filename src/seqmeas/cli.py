@@ -519,6 +519,27 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _bounded(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text, then refuse a value outside ``ok`` at parse time."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid float value" for text that is not a number
+    return parse
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+_WIDTH = _bounded(float, _finite_positive, "a finite positive width")
+_SEED = _bounded(int, lambda v: v >= 0, "a seed >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqmeas",
@@ -544,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--sigma1-min", type=float, default=0.05)
     p3.add_argument("--sigma1-max", type=float, default=1.0)
     p3.add_argument("--sigma1-steps", type=int, default=8)
-    p3.add_argument("--sigma2", type=float, default=0.5)
+    p3.add_argument("--sigma2", type=_WIDTH, default=0.5)
     add_common(p3)
     p3.set_defaults(fn=cmd_fig3)
 
@@ -555,23 +576,23 @@ def build_parser() -> argparse.ArgumentParser:
     p4.add_argument("--sigma2-min", type=float, default=0.1)
     p4.add_argument("--sigma2-max", type=float, default=2.0)
     p4.add_argument("--sigma2-steps", type=int, default=8)
-    p4.add_argument("--sigma1", type=float, default=1e3)
+    p4.add_argument("--sigma1", type=_WIDTH, default=1e3)
     add_common(p4)
     p4.set_defaults(fn=cmd_fig4)
 
     pc = sub.add_parser("chain", help="evaluate a chain config (JSON)")
     pc.add_argument("config")
     pc.add_argument("--with-oracles", action="store_true", help="add quadrature and Monte Carlo columns")
-    pc.add_argument("--seed", type=int, default=12345)
-    pc.add_argument("--mc-samples", type=int, default=200_000)
-    pc.add_argument("--quad-tol", type=float, default=1e-10)
+    pc.add_argument("--seed", type=_SEED, default=12345)
+    pc.add_argument("--mc-samples", type=_bounded(int, lambda v: v >= 3, "at least 3 samples"), default=200_000)
+    pc.add_argument("--quad-tol", type=_bounded(float, _finite_positive, "a finite positive tolerance"), default=1e-10)
     add_common(pc)
     pc.set_defaults(fn=cmd_chain)
 
     pv = sub.add_parser("validate", help="run a module invariant suite")
     pv.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--trials", type=int, default=1000)
+    pv.add_argument("--seed", type=_SEED, default=0)
+    pv.add_argument("--trials", type=_bounded(int, lambda v: v >= 1, "at least 1 trial"), default=1000)
     pv.set_defaults(fn=cmd_validate)
     return parser
 

@@ -3,7 +3,9 @@
 Conditioning runs both ways. The recorded first outcome reshapes the
 second pointer's distribution (causal backaction); conditioning on the
 second outcome reshapes the statistics of the already-recorded first one
-(noncausal backaction). Both conditional densities are Gaussian pair sums
+(noncausal backaction). Each is a 2-stage chain query on the engine of
+:mod:`seqmeas.chain` (free index 2 forward, 1 backward), without the
+chain's outcome cutoff. Both conditional densities are Gaussian pair sums
 in the free outcome, so their means and variances are closed-form;
 numerical quadrature enters only as an independent oracle.
 """
@@ -14,36 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DensityMatrix,
-    Observable,
-    check_states,
-    level_weights,
-    normalize_states,
-    require_same_dim,
-)
-from .errors import FirstFailure, VarianceInconsistency, ZeroLikelihood
-from .kraus import MeasurementStage, fold, projector_sums
-from .pointer import CENTERS, GaussianPairSum, check_coefficients, check_residue, moment_sums, moment_terms
-
-#: Extracted variances in [-EXTRACTED_CLAMP, 0) clamp to zero; below raises.
-EXTRACTED_CLAMP = 1e-9
-
-
-@dataclass(frozen=True)
-class ConditionalStats:
-    """Mean/variance of a conditional pointer density, plus the system part.
-
-    ``extracted_system_variance`` is the pointer variance minus the shot
-    noise ``sigma^2`` of the free stage; ``clamped`` flags a sub-roundoff
-    negative value that was clipped to zero. The batched ``*_rows``
-    functions return one with an array entry per row in every field.
-    """
-
-    mean: float
-    variance: float
-    extracted_system_variance: float
-    clamped: bool = False
+from .chain import ConditionalStats, check_normalization, numerator_rows, pair_rows_moments
+from .core import DensityMatrix, Observable, level_weights, require_same_dim
+from .errors import FirstFailure
+from .kraus import MeasurementStage, fold
+from .pointer import GaussianPairSum
 
 
 @dataclass(frozen=True)
@@ -77,99 +54,23 @@ def _first_row(stats: ConditionalStats) -> ConditionalStats:
     )
 
 
-def pair_centers(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centers of the ``d^2`` pair terms of a density over a full eigenbasis."""
-    d = eigenvalues.size
-    return np.repeat(eigenvalues, d), np.tile(eigenvalues, d)
+def _numerator(rho0, obs1, sigma1, obs2, sigma2, free_index, outcome, rows: FirstFailure):
+    # the 2-stage chain numerator with the other stage's outcome fixed
+    require_same_dim(obs1.dim, obs2.dim, rho0.dim)
+    sigmas = np.stack((sigma1, sigma2), axis=-1)
+    return numerator_rows(rho0, (obs1, obs2), free_index, outcome[:, None], sigmas, rows)
 
 
-def basis_hadamard(v: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> np.ndarray:
-    """Pair-sum coefficients ``(V^H rho V) * (V^H E V)^T`` in the eigenbasis ``v``.
-
-    The Hadamard product of a state and the transposed effect, both written
-    in the free stage's eigenbasis: Hermitian and positive semidefinite
-    (Schur product of PSD factors), so the pair sum it induces is a
-    nonnegative density. ``rho`` and ``effect`` may be ``(B, d, d)`` stacks.
-    """
-    vh = v.conj().T
-    return (vh @ rho @ v) * np.swapaxes(vh @ effect @ v, -1, -2)
-
-
-def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str) -> int:
-    return rows.check(
-        ~(np.isfinite(m0) & (m0 >= 1e-300)),
-        lambda i: ZeroLikelihood(f"{label} normalization {float(m0[i])!r} too small"),
-    )
-
-
-def _moment_stats(m0, m1, c2, sigma, rows: FirstFailure) -> ConditionalStats:
-    mean = m1 / m0
-    extracted = c2 / m0 - mean * mean
-    n = rows.check(
-        extracted < -EXTRACTED_CLAMP,
-        lambda i: VarianceInconsistency(
-            f"extracted variance {extracted[i]:.3e} below -{EXTRACTED_CLAMP:.0e}"
-        ),
-    )
-    clamped = extracted[:n] < 0.0
-    extracted = np.where(clamped, 0.0, extracted[:n])
-    return ConditionalStats(
-        mean=mean[:n],
-        variance=extracted + sigma[:n] * sigma[:n],
-        extracted_system_variance=extracted,
-        clamped=clamped,
-    )
-
-
-def pair_sum_stats(numerator: GaussianPairSum, sigma_free: float) -> ConditionalStats:
-    """Moments of a shared-sigma pair sum, with the shot noise split off.
-
-    The second moment of every term carries the same additive ``sigma^2``,
-    so the extracted part is computed from the center spread alone instead
-    of subtracting ``sigma^2`` from a possibly huge total variance.
-    """
+def _density(rho0, stage1, stage2, free_index, outcome, direction, label) -> ConditionalDensity:
     rows = FirstFailure(1)
-    m0 = _one(numerator.moment(0))
-    check_normalization(m0, rows, "density")
-    m1 = _one(numerator.moment(1))
-    c2 = _one(numerator.center_second_moment())
-    return _first_row(_moment_stats(m0, m1, c2, _one(sigma_free), rows))
-
-
-def pair_rows_moments(
-    coeffs, centers_a, centers_b, sigma, rows: FirstFailure, label: str
-) -> tuple[np.ndarray, ConditionalStats]:
-    """Zeroth moments and :func:`pair_sum_stats` of ``(B, T)`` pair-sum rows.
-
-    ``sigma`` holds each row's shared width. A row fails on the imaginary
-    residue of a moment, with :class:`ZeroLikelihood`
-    (``"<label> normalization ... too small"``) when its zeroth moment is
-    not above 1e-300, or on the extracted-variance clamp.
-    """
-    totals, scales = moment_sums(moment_terms(coeffs, centers_a, centers_b, sigma[:, None], (0, 1, CENTERS)))
-    m0, m1, c2 = totals.real
-    check_residue(totals[0], scales[0], rows)
-    check_normalization(m0, rows, label)
-    check_residue(totals[1], scales[1], rows)
-    n = check_residue(totals[2], scales[2], rows)
-    stats = _moment_stats(m0[:n], m1[:n], c2[:n], sigma, rows)
-    return m0[: rows.rows], stats
-
-
-def conditional_state_rows(
-    rho0: DensityMatrix, obs1: Observable, sigma1: np.ndarray, x1: np.ndarray, rows: FirstFailure
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`conditional_state` for ``B`` (width, outcome) rows.
-
-    Returns the live ``(n, d, d)`` matrices and their ``(n,)`` log scales.
-    """
-    require_same_dim(obs1.dim, rho0.dim)
-    n = rows.check(
-        ~np.isfinite(x1), lambda i: ValueError(f"outcome must be finite, got {float(x1[i])!r}")
+    coeffs, centers_a, centers_b, sigma = _numerator(
+        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
+        free_index, _one(outcome), rows,
     )
-    matrices, log_scale = fold(obs1, sigma1[:n], x1[:n], rho0.matrix, rho0.log_scale)
-    n = check_states(matrices, rows)
-    return matrices[:n], log_scale[:n]
+    numerator = GaussianPairSum(coeffs[0], centers_a, centers_b, float(sigma[0]))
+    norm = numerator.moment(0)
+    check_normalization(_one(norm), rows, label)
+    return ConditionalDensity(direction, float(outcome), numerator, norm)
 
 
 def conditional_state(
@@ -181,8 +82,11 @@ def conditional_state(
     carried as a log-scale prefactor so conditioning far into the Gaussian
     tails stays finite.
     """
-    matrices, log_scale = conditional_state_rows(
-        rho0, stage1.observable, _one(stage1.sigma), _one(x1), FirstFailure(1)
+    require_same_dim(stage1.dim, rho0.dim)
+    if not np.isfinite(x1):
+        raise ValueError(f"outcome must be finite, got {float(x1)!r}")
+    matrices, log_scale = fold(
+        stage1.observable, _one(stage1.sigma), _one(x1), rho0.matrix, rho0.log_scale
     )
     return DensityMatrix(matrices[0], log_scale=float(log_scale[0]))
 
@@ -193,15 +97,6 @@ def marginal_density_x1(rho0: DensityMatrix, stage1: MeasurementStage) -> Gaussi
     return GaussianPairSum.mixture(weights, stage1.observable.levels, stage1.sigma)
 
 
-def _forward_weights(rho0, obs1, sigma1, obs2, sigma2, x1, rows: FirstFailure) -> np.ndarray:
-    # mixture weights of p(x2 | x1) over the second observable's levels
-    require_same_dim(obs1.dim, obs2.dim, rho0.dim)
-    states, _ = conditional_state_rows(rho0, obs1, sigma1, x1, rows)
-    normalized = normalize_states(states, rows)
-    weights = np.clip(level_weights(obs2.projectors, normalized), 0.0, None).astype(complex)
-    return weights[: check_coefficients(weights, rows)]
-
-
 def forward_density(
     rho0: DensityMatrix,
     stage1: MeasurementStage,
@@ -210,25 +105,16 @@ def forward_density(
 ) -> ConditionalDensity:
     """Density of the second outcome given the first: ``p(x2 | x1)``.
 
-    A proper Gaussian mixture over the second observable's levels, weighted
-    by the normalized conditional state.
+    The numerator is the ``d^2``-term pair sum over the second observable's
+    eigenbasis, unnormalized: its diagonal terms weight the levels by the
+    conditional state, and its cross terms are zero up to rounding.
 
     Raises
     ------
     ZeroLikelihood
         If the conditioning outcome has vanishing marginal likelihood.
     """
-    weights = _forward_weights(
-        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
-        _one(x1), FirstFailure(1),
-    )
-    numerator = GaussianPairSum.mixture(weights[0], stage2.observable.levels, stage2.sigma)
-    return ConditionalDensity(
-        direction="forward",
-        conditioned_on=float(x1),
-        numerator=numerator,
-        normalization=numerator.moment(0),
-    )
+    return _density(rho0, stage1, stage2, 2, x1, "forward", "density")
 
 
 def forward_stats_rows(
@@ -246,9 +132,8 @@ def forward_stats_rows(
     Returns array fields over the live rows of ``rows``; the caller raises
     :meth:`FirstFailure.raise_first`.
     """
-    weights = _forward_weights(rho0, obs1, sigma1, obs2, sigma2, x1, rows)
-    sigma = sigma2[: len(weights)]
-    return pair_rows_moments(weights, obs2.levels, obs2.levels, sigma, rows, "density")[1]
+    numerator = _numerator(rho0, obs1, sigma1, obs2, sigma2, 2, x1, rows)
+    return pair_rows_moments(*numerator, rows, "density")[1]
 
 
 def forward_stats(
@@ -268,33 +153,6 @@ def forward_stats(
     ))
 
 
-def _squares(values: np.ndarray) -> np.ndarray:
-    # squares through the C library's pow, like a scalar ``x ** 2``: an
-    # array ``x * x`` rounds differently in about one case in a thousand
-    # and would move the last digits of backward variances
-    flat = values.ravel().tolist()
-    return np.fromiter((v**2 for v in flat), dtype=float, count=len(flat)).reshape(values.shape)
-
-
-def _scaled_effect_weights(levels: np.ndarray, sigmas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # effect weights |psi(x - b)|^2 rescaled so the largest is one; the
-    # dropped prefactor cancels in every conditional ratio
-    logs = 2.0 * (-_squares(xs[:, None] - levels) / (4.0 * _squares(sigmas))[:, None])
-    return np.exp(logs - logs.max(axis=-1, keepdims=True))
-
-
-def _backward_coeffs(rho0, obs1, sigma1, obs2, sigma2, x2, rows: FirstFailure) -> np.ndarray:
-    # Hadamard products of the initial state and the effect operator in the
-    # first observable's eigenbasis, one flattened (d^2,) row per record
-    require_same_dim(obs1.dim, obs2.dim, rho0.dim)
-    n = rows.check(
-        ~np.isfinite(x2), lambda i: ValueError(f"outcome must be finite, got {float(x2[i])!r}")
-    )
-    effect = projector_sums(obs2.projectors, _scaled_effect_weights(obs2.levels, sigma2[:n], x2[:n]))
-    coeffs = basis_hadamard(obs1.eigenvectors, rho0.matrix, effect).reshape(n, -1)
-    return coeffs[: check_coefficients(coeffs, rows)]
-
-
 def backward_density(
     rho0: DensityMatrix,
     stage1: MeasurementStage,
@@ -304,23 +162,10 @@ def backward_density(
     """Density of the first outcome given the second: ``p(x1 | x2)``.
 
     The numerator is the pair sum over ``x1`` proportional to
-    ``Tr[rho_bar_1(x1) E(x2)]``, with :func:`basis_hadamard` coefficients
-    in the first observable's eigenbasis.
+    ``Tr[rho_bar_1(x1) E(x2)]``, with :func:`~seqmeas.chain.basis_hadamard`
+    coefficients in the first observable's eigenbasis.
     """
-    coeffs = _backward_coeffs(
-        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
-        _one(x2), FirstFailure(1),
-    )
-    centers_a, centers_b = pair_centers(stage1.observable.eigenvalues)
-    numerator = GaussianPairSum(coeffs[0], centers_a, centers_b, stage1.sigma)
-    norm = numerator.moment(0)
-    check_normalization(_one(norm), FirstFailure(1), "backward")
-    return ConditionalDensity(
-        direction="backward",
-        conditioned_on=float(x2),
-        numerator=numerator,
-        normalization=norm,
-    )
+    return _density(rho0, stage1, stage2, 1, x2, "backward", "backward")
 
 
 def backward_stats_rows(
@@ -338,10 +183,8 @@ def backward_stats_rows(
     Returns array fields over the live rows of ``rows``; the caller raises
     :meth:`FirstFailure.raise_first`.
     """
-    coeffs = _backward_coeffs(rho0, obs1, sigma1, obs2, sigma2, x2, rows)
-    centers_a, centers_b = pair_centers(obs1.eigenvalues)
-    sigma = sigma1[: len(coeffs)]
-    return pair_rows_moments(coeffs, centers_a, centers_b, sigma, rows, "backward")[1]
+    numerator = _numerator(rho0, obs1, sigma1, obs2, sigma2, 1, x2, rows)
+    return pair_rows_moments(*numerator, rows, "backward")[1]
 
 
 def backward_stats(

@@ -13,8 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainQuery, MeasurementChain, chain_state, conditional_density_k
-from .conditional import pair_centers
+from .chain import ChainQuery, MeasurementChain, chain_state, conditional_density_k, pair_centers
 from .errors import QuadratureFailure, RejectionStall, ZeroLikelihood
 from .kraus import MeasurementStage
 from .pointer import GaussianPairSum

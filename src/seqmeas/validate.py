@@ -241,11 +241,13 @@ def _suite_nseq(seed: int, trials: int) -> list[CheckResult]:
         x = float(rng.uniform(-1.5, 1.5))
         two = chain_mod.MeasurementChain((s1, s2), rho0)
         fwd = chain_mod.conditional_stats_k(two, chain_mod.ChainQuery(2, (x,)))
-        ref_f = conditional.forward_stats(rho0, s1, s2, x)
-        worst_fwd = max(worst_fwd, abs(fwd.variance - ref_f.variance), abs(fwd.mean - ref_f.mean))
+        mean, _, var = spin.cond_moments_closed(s1.sigma, s2.sigma, x)
+        worst_fwd = max(worst_fwd, abs(fwd.variance - var), abs(fwd.mean - mean))
         bwd = chain_mod.conditional_stats_k(two, chain_mod.ChainQuery(1, (x,)))
-        ref_b = conditional.backward_stats(rho0, s1, s2, x)
-        worst_bwd = max(worst_bwd, abs(bwd.variance - ref_b.variance), abs(bwd.mean - ref_b.mean))
+        extracted = spin.var_sz_given_sx_closed(s1.sigma, s2.sigma, x)
+        worst_bwd = max(
+            worst_bwd, abs(bwd.extracted_variance - extracted), abs(bwd.variance - (extracted + s1.sigma**2))
+        )
     checks = [
         _check("nseq.reduces_to_forward", worst_fwd < 1e-12, f"max_dev={worst_fwd:.1e}"),
         _check("nseq.reduces_to_backward", worst_bwd < 1e-12, f"max_dev={worst_bwd:.1e}"),

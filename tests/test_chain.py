@@ -121,6 +121,14 @@ class TestReducesToTwoStageModel:
             assert abs(got.variance - ref.variance) < 1e-12
             assert abs(got.extracted_variance - ref.extracted_system_variance) < 1e-12
 
+    def test_outcome_cutoff_applies_to_chain_queries_only(self, plus, sz_stage, sx_stage):
+        # x1 = -1.2 lies 17.5 widths from the nearer S_z eigenvalue at sigma1 = 0.04
+        first, second = sz_stage(0.04), sx_stage(0.5)
+        assert forward_stats(plus, first, second, -1.2).extracted_system_variance == 0.25
+        message = r"^outcome -1.2 of stage 1 lies 17.5 sigma from every eigenvalue \(cutoff 12.0\)$"
+        with pytest.raises(ZeroLikelihood, match=message):
+            conditional_stats_k(MeasurementChain((first, second), plus), ChainQuery(2, (-1.2,)))
+
 
 class TestConditionalDensityK:
     def test_listing_density_normalizes(self, listing_chain):

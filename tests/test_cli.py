@@ -88,9 +88,12 @@ class TestFig3:
             assert abs(value - by_key[(-x1, s1)]) < 1e-12
 
 
-    def test_nonpositive_sigma2_is_rejected(self):
-        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+    def test_nonpositive_sigma2_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["fig3", "--sigma2", "0"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "argument --sigma2: expected a finite positive width" in err
 
 
 class TestFig4:
@@ -403,6 +406,39 @@ class TestValidateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "nonsense"])
         assert exc.value.code == 2
+
+
+class TestOptionBounds:
+    """Option values outside their domain are usage errors at parse time, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (("chain", str(CHAIN4), "--with-oracles", "--mc-samples", "0"), "--mc-samples"),
+            (("chain", str(CHAIN4), "--with-oracles", "--mc-samples", "2"), "--mc-samples"),
+            (("chain", str(CHAIN4), "--with-oracles", "--quad-tol", "0"), "--quad-tol"),
+            (("chain", str(CHAIN4), "--with-oracles", "--quad-tol", "nan"), "--quad-tol"),
+            (("chain", str(CHAIN4), "--with-oracles", "--seed", "-1"), "--seed"),
+            (("fig3", "--sigma2", "0"), "--sigma2"),
+            (("fig3", "--sigma2", "inf"), "--sigma2"),
+            (("fig4", "--sigma1", "-1"), "--sigma1"),
+            (("fig4", "--sigma1", "nan"), "--sigma1"),
+            (("validate", "pointer", "--trials", "-3"), "--trials"),
+            (("validate", "pointer", "--seed", "-1"), "--seed"),
+        ],
+    )
+    def test_rejected_at_parse_time(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"error: argument {option}: expected " in err.splitlines()[-1]
+
+    def test_smallest_accepted_values_run(self, capsys):
+        code, out, _ = run_cli(capsys, "chain", str(CHAIN4), "--with-oracles", "--mc-samples", "3", "--seed", "0")
+        assert code == 0 and out
+        code, out, _ = run_cli(capsys, "validate", "pointer", "--trials", "1", "--seed", "0")
+        assert code == 0 and out
 
 
 class TestMatrixConfig:

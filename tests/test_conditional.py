@@ -13,7 +13,9 @@ from seqmeas import (
     forward_stats,
 )
 from seqmeas import spin
+from seqmeas.chain import pair_rows_moments
 from seqmeas.conditional import marginal_density_x1
+from seqmeas.errors import FirstFailure, VarianceInconsistency
 from seqmeas.joint import post_first_state
 from seqmeas.validate import random_density, random_observable
 
@@ -23,6 +25,20 @@ def density_moments(density, lo, hi, pts):
         quad(lambda x: x**n * density.pdf(x), lo, hi, points=pts, limit=200)[0]
         for n in (0, 1, 2)
     ]
+
+
+def mixture_weights(density):
+    """Level weights of a forward density: its diagonal pair terms, normalized.
+
+    The numerator pairs every two levels of the second observable; its cross
+    terms (centers_a != centers_b) are zero up to rounding and are skipped.
+    """
+    num = density.numerator
+    diagonal = num.centers_a == num.centers_b
+    return {
+        round(float(c), 6): w / density.normalization
+        for c, w in zip(num.centers_a[diagonal], num.coeffs.real[diagonal])
+    }
 
 
 class TestConditionalState:
@@ -59,9 +75,7 @@ class TestForward:
     def test_x1_zero_mixture_weights(self, plus, sz_stage, sx_stage):
         density = forward_density(plus, sz_stage(0.5), sx_stage(0.5), 0.0)
         # all weight on the +1/2 component of S_x
-        weights = {
-            round(c, 6): w for w, c in zip(density.numerator.coeffs.real, density.numerator.centers_a)
-        }
+        weights = mixture_weights(density)
         assert abs(weights[0.5] - 1.0) < 1e-12
         assert abs(weights[-0.5]) < 1e-12
 
@@ -80,7 +94,7 @@ class TestForward:
 
     def test_weak_first_stage_weights_approach_rho0(self, plus, sz_stage, sx_stage):
         density = forward_density(plus, sz_stage(1e3), sx_stage(0.5), 0.5)
-        weights = dict(zip(np.round(density.numerator.centers_a, 6), density.numerator.coeffs.real))
+        weights = mixture_weights(density)
         assert abs(weights[0.5] - 1.0) < 1e-4
         assert abs(weights[-0.5]) < 1e-4
 
@@ -165,40 +179,29 @@ class TestBackward:
 
 
 class TestExtractedClampPolicy:
-    class _FakeNumerator:
-        def __init__(self, m0, m1, m2_centers):
-            self._values = {0: m0, 1: m1}
-            self._centers = m2_centers
-
-        def moment(self, n):
-            return self._values[n]
-
-        def center_second_moment(self):
-            return self._centers
+    @staticmethod
+    def stats(m0, m1, c2, sigma=0.5):
+        # one pair-sum row of diagonal terms at centers 0, 1 and 2 whose
+        # zeroth moment, first moment and center spread are m0, m1 and c2
+        r = (c2 - m1) / 2
+        q = m1 - 2 * r
+        coeffs = np.array([[m0 - q - r, q, r]], dtype=complex)
+        centers = np.array([0.0, 1.0, 2.0])
+        return pair_rows_moments(coeffs, centers, centers, np.array([sigma]), FirstFailure(1), "density")[1]
 
     def test_sub_roundoff_negative_clamps_with_flag(self):
-        from seqmeas.conditional import pair_sum_stats
-
-        fake = self._FakeNumerator(m0=1.0, m1=0.5, m2_centers=0.25 - 1e-10)
-        stats = pair_sum_stats(fake, sigma_free=0.5)
-        assert stats.extracted_system_variance == 0.0
-        assert stats.clamped
-        assert abs(stats.variance - 0.25) < 1e-15
+        stats = self.stats(m0=1.0, m1=0.5, c2=0.25 - 1e-10)
+        assert stats.extracted_system_variance[0] == 0.0
+        assert stats.clamped[0]
+        assert abs(stats.variance[0] - 0.25) < 1e-15
 
     def test_real_negative_raises(self):
-        from seqmeas.conditional import pair_sum_stats
-        from seqmeas.errors import VarianceInconsistency
-
-        fake = self._FakeNumerator(m0=1.0, m1=0.5, m2_centers=0.25 - 1e-6)
         with pytest.raises(VarianceInconsistency):
-            pair_sum_stats(fake, sigma_free=0.5)
+            self.stats(m0=1.0, m1=0.5, c2=0.25 - 1e-6)
 
     def test_vanishing_normalization_raises(self):
-        from seqmeas.conditional import pair_sum_stats
-
-        fake = self._FakeNumerator(m0=0.0, m1=0.0, m2_centers=0.0)
         with pytest.raises(ZeroLikelihood):
-            pair_sum_stats(fake, sigma_free=0.5)
+            self.stats(m0=0.0, m1=0.0, c2=0.0)
 
 
 class TestBayesConsistency:
