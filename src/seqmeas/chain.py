@@ -249,14 +249,17 @@ def numerator_rows(
     ``fixed`` holds ``(B, N - 1)`` outcomes of the other stages and
     ``sigmas`` the ``(B, N)`` widths, finite and positive as
     :class:`Pointer` enforces. Each row checks, in order: finite outcomes,
-    the state of the earlier stages, finite coefficients. Returns the
-    ``(n, d^2)`` coefficients of the live rows, the shared pair centers
-    and the ``(n,)`` free widths. No outcome cutoff applies here.
+    the state of the earlier stages, finite coefficients. With free index 1
+    no stage is folded and the state is ``rho0.matrix``, which
+    :class:`DensityMatrix` construction ran through the same state check.
+    Returns the ``(n, d^2)`` coefficients of the live rows, the shared pair
+    centers and the ``(n,)`` free widths. No outcome cutoff applies here.
     """
     n = rows.check(~np.isfinite(fixed).all(axis=-1), lambda i: ValueError("fixed outcomes must be finite"))
     free = free_index - 1
     rho, _ = chain_state_rows(rho0, observables, fixed[:n, :free], sigmas[:n])
-    n = check_states(rho, rows)
+    if free:
+        n = check_states(rho, rows)
     effect, _ = effect_chain_rows(observables, fixed[:n, free:], sigmas[:n])
     coeffs = basis_hadamard(observables[free].eigenvectors, rho[:n], effect)
     coeffs = coeffs.reshape(-1, coeffs.shape[-1] ** 2)
@@ -292,10 +295,13 @@ def _pair_rows(chain, free_index, fixed, sigmas, rows: FirstFailure):
     return numerator_rows(chain.initial_state, chain.observables, free_index, fixed, sigmas, rows)
 
 
-def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str) -> int:
+def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str | Sequence[str]) -> int:
+    # ``label`` names the density in the message: one for every row, or one per row
     return rows.check(
         ~(np.isfinite(m0) & (m0 >= 1e-300)),
-        lambda i: ZeroLikelihood(f"{label} normalization {float(m0[i])!r} too small"),
+        lambda i: ZeroLikelihood(
+            f"{label if isinstance(label, str) else label[i]} normalization {float(m0[i])!r} too small"
+        ),
     )
 
 
@@ -319,11 +325,13 @@ def _moment_stats(m0, m1, c2, sigma, rows: FirstFailure) -> ConditionalStats:
 
 
 def pair_rows_moments(
-    coeffs, centers_a, centers_b, sigma, rows: FirstFailure, label: str
+    coeffs, centers_a, centers_b, sigma, rows: FirstFailure, label: str | Sequence[str]
 ) -> tuple[np.ndarray, ConditionalStats]:
     """Zeroth moments and conditional statistics of ``(B, T)`` pair-sum rows.
 
-    ``sigma`` holds each row's shared width. The second moment of every
+    ``sigma`` holds each row's shared width. The centers are ``(T,)``,
+    shared by every row, or ``(B, T)``, one set per row; ``label`` is one
+    name for every row or one per row. The second moment of every
     term carries the same additive ``sigma^2``, so the extracted variance
     comes from the center spread alone instead of subtracting ``sigma^2``
     from a possibly huge total. A row fails on the imaginary residue of a

@@ -54,51 +54,46 @@ def _sweep_rows(
     engine: Callable[[FirstFailure], object],
     columns: Callable[[int, object], Sequence[Sequence[float]]],
     label: Callable[[int], str] | None,
-) -> list[tuple]:
-    """CSV rows of an ``n``-row sweep: one batched engine call, then whole columns.
+) -> list[list[str]]:
+    """CSV cells of an ``n``-row sweep by column: one batched engine call, then whole columns.
 
     ``engine(rows)`` evaluates every row at once; ``columns(live, result)``
-    gives the CSV columns of the rows the engine left live. A failure is the
-    one a row-by-row loop would raise first, with ``label(exc.row)``, if
-    both are given, in front of the message.
+    gives the CSV columns of the rows the engine left live, as Python
+    floats. Returns each column's cells, ``list(map(repr, column))``. A
+    failure is the one a row-by-row loop would raise first, with
+    ``label(exc.row)``, if both are given, in front of the message.
     """
     rows = FirstFailure(n)
     try:
         result = engine(rows)
-        out = list(zip(*columns(rows.rows, result)))
+        values = columns(rows.rows, result)
         rows.raise_first()
     except (SeqMeasError, ValueError) as exc:
         failed = getattr(exc, "row", None)
         if failed is not None and label is not None:
             exc.args = (f"{label(failed)}: {exc}",)
         raise
-    return out
+    return [list(map(repr, column)) for column in values]
 
 
-def _write_csv(
-    out, meta: Iterable[str], header: Sequence[str], rows: Iterable[Sequence[float]]
-) -> None:
-    """Write the CSV; every row cell is a Python float, written as its shortest repr."""
+def _write_csv(out, meta: Iterable[str], header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    """Write the CSV from columns of cells, streamed row by row without one whole-CSV string.
+
+    Every cell is the shortest ``repr`` of a Python float, as
+    :func:`_sweep_rows` and :func:`_grid_cells` build them.
+    """
     for line in meta:
         out.write(f"# {line}\n")
     out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(map(repr, row)) + "\n")
+    out.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def _emit(args, meta, header, rows) -> None:
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, meta, header, rows)
-    finally:
-        if close:
-            out.close()
+def _emit(args, meta, header, columns) -> None:
+    if args.out is None:
+        _write_csv(sys.stdout, meta, header, columns)
+        return
+    with open(args.out, "w", encoding="utf-8") as out:
+        _write_csv(out, meta, header, columns)
 
 
 def _meta_lines(argv_repr: str, extra: Sequence[str] = ()) -> list[str]:
@@ -125,7 +120,7 @@ def cmd_fig2(args) -> int:
     grid = _grid(args.sigma1_min, args.sigma1_max, args.steps, log=True)
     rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
     sigma1 = grid.tolist()
-    rows = _sweep_rows(
+    cells = _sweep_rows(
         grid.size,
         lambda r: backaction_variance_rows(rho0, sz, grid, sx, r),
         lambda n, generic: (sigma1, spin.var_sx_rho1_closed(grid[:n]).tolist(), generic.tolist()),
@@ -134,7 +129,7 @@ def cmd_fig2(args) -> int:
     meta = _meta_lines(
         f"fig2 --sigma1-min {args.sigma1_min} --sigma1-max {args.sigma1_max} --steps {args.steps}"
     )
-    _emit(args, meta, ["sigma1", "var_sx_rho1_closed", "var_sx_rho1_generic"], rows)
+    _emit(args, meta, ["sigma1", "var_sx_rho1_closed", "var_sx_rho1_generic"], cells)
     return 0
 
 
@@ -143,35 +138,36 @@ def _outer_grid(inner: np.ndarray, outer: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.tile(inner, outer.size), np.repeat(outer, inner.size)
 
 
+def _grid_cells(inner: np.ndarray, outer: np.ndarray) -> tuple[list[str], list[str]]:
+    """The cells of :func:`_outer_grid`'s two columns, one ``repr`` per grid value."""
+    inner_cells, outer_cells = list(map(repr, inner.tolist())), list(map(repr, outer.tolist()))
+    return inner_cells * len(outer_cells), [cell for cell in outer_cells for _ in inner_cells]
+
+
 def cmd_fig3(args) -> int:
     x1_grid = _grid(args.x1_min, args.x1_max, args.x1_steps, log=False)
     s1_grid = _grid(args.sigma1_min, args.sigma1_max, args.sigma1_steps, log=True)
     rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
     sigma2 = Pointer(args.sigma2).sigma
     x1, s1 = _outer_grid(x1_grid, s1_grid)
-    xs, ss = x1.tolist(), s1.tolist()
 
     def engine(r):
         s2 = np.full(x1.size, sigma2)
         return forward_stats_rows(rho0, sz, s1, sx, s2, x1, r).extracted_system_variance
 
-    rows = _sweep_rows(
+    values = _sweep_rows(
         x1.size,
         engine,
-        lambda n, generic: (xs, ss, spin.var_sx_given_sz_closed(s1[:n], x1[:n]).tolist(), generic.tolist()),
-        lambda i: f"x1 = {xs[i]!r}, sigma1 = {ss[i]!r}",
+        lambda n, generic: (spin.var_sx_given_sz_closed(s1[:n], x1[:n]).tolist(), generic.tolist()),
+        lambda i: f"x1 = {float(x1[i])!r}, sigma1 = {float(s1[i])!r}",
     )
     meta = _meta_lines(
         f"fig3 --x1-min {args.x1_min} --x1-max {args.x1_max} --x1-steps {args.x1_steps} "
         f"--sigma1-min {args.sigma1_min} --sigma1-max {args.sigma1_max} "
         f"--sigma1-steps {args.sigma1_steps} --sigma2 {args.sigma2}"
     )
-    _emit(
-        args,
-        meta,
-        ["x1", "sigma1", "var_sx_given_sz_closed", "var_sx_given_sz_generic"],
-        rows,
-    )
+    header = ["x1", "sigma1", "var_sx_given_sz_closed", "var_sx_given_sz_generic"]
+    _emit(args, meta, header, [*_grid_cells(x1_grid, s1_grid), *values])
     return 0
 
 
@@ -181,19 +177,16 @@ def cmd_fig4(args) -> int:
     rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
     sigma1 = Pointer(args.sigma1).sigma
     x2, s2 = _outer_grid(x2_grid, s2_grid)
-    xs, ss = x2.tolist(), s2.tolist()
 
     def engine(r):
         s1 = np.full(x2.size, sigma1)
         return backward_stats_rows(rho0, sz, s1, sx, s2, x2, r).extracted_system_variance
 
-    rows = _sweep_rows(
+    values = _sweep_rows(
         x2.size,
         engine,
-        lambda n, generic: (
-            xs, ss, spin.var_sz_given_sx_closed(args.sigma1, s2[:n], x2[:n]).tolist(), generic.tolist()
-        ),
-        lambda i: f"x2 = {xs[i]!r}, sigma2 = {ss[i]!r}",
+        lambda n, generic: (spin.var_sz_given_sx_closed(args.sigma1, s2[:n], x2[:n]).tolist(), generic.tolist()),
+        lambda i: f"x2 = {float(x2[i])!r}, sigma2 = {float(s2[i])!r}",
     )
     meta = _meta_lines(
         f"fig4 --x2-min {args.x2_min} --x2-max {args.x2_max} --x2-steps {args.x2_steps} "
@@ -201,12 +194,8 @@ def cmd_fig4(args) -> int:
         f"--sigma2-steps {args.sigma2_steps} --sigma1 {args.sigma1}",
         ["note: values grow without bound for x2 < 0 as sigma2 -> 0; cap for plotting as needed"],
     )
-    _emit(
-        args,
-        meta,
-        ["x2", "sigma2", "var_sz_given_sx_closed", "var_sz_given_sx_generic"],
-        rows,
-    )
+    header = ["x2", "sigma2", "var_sz_given_sx_closed", "var_sz_given_sx_generic"]
+    _emit(args, meta, header, [*_grid_cells(x2_grid, s2_grid), *values])
     return 0
 
 
@@ -482,13 +471,13 @@ def cmd_chain(args) -> int:
 
     def columns(n, result):
         stats = result.stats
-        cells = [stats.mean.tolist(), stats.variance.tolist(), stats.extracted_system_variance.tolist()]
+        stat_columns = [stats.mean.tolist(), stats.variance.tolist(), stats.extracted_system_variance.tolist()]
         if args.with_oracles:
-            cells += zip(*(oracles(i, result) for i in range(n)))
-        return cells if values is None else [values] + cells
+            stat_columns += zip(*(oracles(i, result) for i in range(n)))
+        return stat_columns if values is None else [values] + stat_columns
 
     label = None if sweep is None else (lambda i: f"{sweep.path} = {values[i]!r}")
-    rows = _sweep_rows(len(fixed), engine, columns, label)
+    cells = _sweep_rows(len(fixed), engine, columns, label)
     header = ["mean", "variance", "extracted_variance"]
     if args.with_oracles:
         header += ["quad_variance", "mc_variance", "mc_se"]
@@ -503,7 +492,7 @@ def cmd_chain(args) -> int:
         + (f" --seed {args.seed} --mc-samples {args.mc_samples}" if args.with_oracles else ""),
         extra,
     )
-    _emit(args, meta, header, rows)
+    _emit(args, meta, header, cells)
     return 0
 
 

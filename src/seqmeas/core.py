@@ -9,7 +9,7 @@ threads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +53,7 @@ def hermiticity_defect(matrix: np.ndarray):
     return deviation.reshape(len(deviation), -1).max(axis=-1)
 
 
-def check_states(
-    matrices: np.ndarray, rows: FirstFailure, herm_tol: float = HERMITICITY_TOL
-) -> int:
+def check_states(matrices: np.ndarray, rows: FirstFailure) -> int:
     """State checks on a ``(B, d, d)`` stack, row by row: finite, Hermitian, PSD.
 
     Returns the live row count of ``rows``; see :class:`FirstFailure`.
@@ -68,7 +66,7 @@ def check_states(
         return n
     defect = hermiticity_defect(matrices[:n])
     n = rows.check(
-        defect > herm_tol, lambda i: NotHermitian(f"max |rho - rho^dagger| = {defect[i]:.3e}")
+        defect > HERMITICITY_TOL, lambda i: NotHermitian(f"max |rho - rho^dagger| = {defect[i]:.3e}")
     )
     min_eig = np.linalg.eigvalsh(matrices[:n])[:, 0]
     return rows.check(
@@ -363,11 +361,10 @@ class DensityMatrix:
 
     matrix: np.ndarray
     log_scale: float = 0.0
-    herm_tol: float = field(default=HERMITICITY_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_square(self.matrix)
-        check_states(m[None], FirstFailure(1), self.herm_tol)
+        check_states(m[None], FirstFailure(1))
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property

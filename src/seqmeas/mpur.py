@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conditional import backward_stats, forward_stats
+from .chain import numerator_rows, pair_rows_moments
 from .core import DensityMatrix, Observable, PureState, require_same_dim, unit_amplitudes
-from .errors import DegenerateDirection, NotOrthogonal
+from .errors import DegenerateDirection, FirstFailure, NotOrthogonal, SeqMeasError
 from .kraus import MeasurementStage
 
 ORTHOGONALITY_TOL = 1e-10
@@ -205,15 +205,36 @@ def conditional_mpur_sum(
     The classical bound is evaluated for the (pure) initial state and the
     two stage observables; ``below`` reports whether conditioning pushed
     the sum under it. This is a per-configuration evaluation, not a claim
-    that any fixed bound governs conditional variances in general.
+    that any fixed bound governs conditional variances in general. The
+    variances are those of ``forward_stats`` at ``x1`` and ``backward_stats``
+    at ``x2``, bit for bit, with their errors in that order; their moments
+    come from one :func:`~seqmeas.chain.pair_rows_moments` pass, forward as row 0.
     """
     require_same_dim(rho0.dim, stage1.dim, stage2.dim)
     values, vectors = np.linalg.eigh(rho0.matrix)
     if values[-1] < 1.0 - 1e-8:
         raise ValueError("initial state must be pure for the reference bound")
     v = unit_amplitudes(vectors[:, -1])
-    forward = forward_stats(rho0, stage1, stage2, x1).extracted_system_variance
-    backward = backward_stats(rho0, stage1, stage2, x2).extracted_system_variance
+    observables, sigmas = (stage1.observable, stage2.observable), np.array([[stage1.sigma, stage2.sigma]])
+
+    def numerator(free_index, outcome):
+        fixed = np.array([[outcome]], dtype=float)
+        return numerator_rows(rho0, observables, free_index, fixed, sigmas, FirstFailure(1))
+
+    # a forward numerator error raises at once; a backward one is row 1's
+    # and waits for the forward moment checks
+    rows, parts = FirstFailure(2), [numerator(2, x1)]
+    try:
+        parts.append(numerator(1, x2))
+    except (SeqMeasError, ValueError) as exc:
+        rows.check(np.array([False, True]), lambda i: exc)
+    coeffs, centers_a, centers_b, sigma = zip(*parts)
+    _, stats = pair_rows_moments(
+        np.concatenate(coeffs), np.stack(centers_a), np.stack(centers_b), np.concatenate(sigma),
+        rows, ("density", "backward"),
+    )
+    rows.raise_first()
+    forward, backward = stats.extracted_system_variance.tolist()
     r_a, r_b, _ = _bounds(v, stage1.observable.matrix, stage2.observable.matrix)
     bound = max(r_a, r_b)
     total = float(forward + backward)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import re
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqmeas import (
     ChainQuery,
@@ -18,7 +21,16 @@ from seqmeas import (
     spin,
 )
 from seqmeas.chain import conditional_stats_rows
-from seqmeas.cli import build_parser, cmd_chain, main, parse_chain_config
+from seqmeas.cli import (
+    _grid_cells,
+    _outer_grid,
+    _sweep_rows,
+    _write_csv,
+    build_parser,
+    cmd_chain,
+    main,
+    parse_chain_config,
+)
 from seqmeas.errors import (
     ConfigParseError,
     FirstFailure,
@@ -536,6 +548,31 @@ class TestCsvCells:
         assert code == 0
         self.assert_cells(out)
         assert len(csv_cells(out)) == 3
+
+
+ADVERSARIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1 + 0.2, 0.1, -1.0, 1e22, 2.0**53 + 2.0]
+cell_floats = st.one_of(st.sampled_from(ADVERSARIAL_FLOATS), st.floats(allow_nan=False))
+grids = st.lists(cell_floats, min_size=1, max_size=6).map(lambda values: np.array(values, dtype=float))
+
+
+class TestCsvWriter:
+    """The column-by-column writer prints what a row-by-row repr loop printed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(st.lists(cell_floats, min_size=k, max_size=k), min_size=1)))
+    def test_rows_match_row_repr(self, rows):
+        columns = [list(column) for column in zip(*rows)]
+        cells = _sweep_rows(len(rows), lambda r: None, lambda n, _: columns, None)
+        out = io.StringIO()
+        _write_csv(out, ["meta"], ["h"] * len(columns), cells)
+        body = out.getvalue().splitlines(keepends=True)[2:]
+        assert body == [",".join(map(repr, row)) + "\n" for row in rows]
+
+    @settings(max_examples=150, deadline=None)
+    @given(grids, grids.map(np.negative))
+    def test_grid_cells_follow_outer_grid(self, inner, outer):
+        expected = [list(map(repr, column.tolist())) for column in _outer_grid(inner, outer)]
+        assert list(_grid_cells(inner, outer)) == expected
 
 
 def random_hermitian(rng, dim, real=False):

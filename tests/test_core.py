@@ -17,7 +17,8 @@ from seqmeas import (
     variance_of,
 )
 from seqmeas import spin
-from seqmeas.core import DEGENERACY_GAP_TOL
+from seqmeas.core import DEGENERACY_GAP_TOL, check_states
+from seqmeas.errors import FirstFailure
 from seqmeas.validate import random_density, random_hermitian, random_observable
 
 
@@ -292,6 +293,25 @@ class TestDensityMatrix:
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize(
+        "matrix, error, message",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], ValueError, "matrix contains non-finite entries"),
+            ([[0.5, 0.1], [0.0, 0.5]], NotHermitian, "max |rho - rho^dagger| = 1.000e-01"),
+            ([[1.5, 0.0], [0.0, -0.5]], ValueError, "state not positive semidefinite: min eigenvalue -5.000e-01"),
+        ],
+        ids=["non_finite", "non_hermitian", "non_psd"],
+    )
+    def test_construction_runs_the_engine_state_check(self, matrix, error, message):
+        # the engine skips its state check when no stage is folded: the
+        # state is then this matrix, refused here with the same error
+        matrix = np.array(matrix, dtype=complex)
+        with pytest.raises(error) as constructed:
+            DensityMatrix(matrix)
+        with pytest.raises(error) as engine:
+            check_states(matrix[None], FirstFailure(1))
+        assert str(constructed.value) == str(engine.value) == message
 
     def test_log_scale_trace(self):
         rho = DensityMatrix(0.5 * np.eye(2), log_scale=-800.0)

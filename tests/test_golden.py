@@ -89,6 +89,17 @@ def test_output_matches_golden(name):
         assert actual == expected
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cells_are_shortest_repr(name):
+    # the cell comparison cannot see a formatting drift (0.10000000000000001
+    # for 0.1 is within any bound); shortest-repr cells hold on every build
+    body = [line for line in cli_output(CASES[name]).splitlines() if not line.startswith("#")][1:]
+    assert body
+    for line in body:
+        for cell in line.split(","):
+            assert cell == repr(float(cell)), (cell, line)
+
+
 def test_cell_bound():
     golden = "# config: <config>\nmean,variance\n0.5453015986780404,0.2581876633529906\n"
     assert_cells_close(golden.replace("0.2581876633529906", "0.2581876633529907"), golden)

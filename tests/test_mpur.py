@@ -3,18 +3,22 @@ import pytest
 
 from seqmeas import (
     DegenerateDirection,
+    DensityMatrix,
     MeasurementStage,
     NotOrthogonal,
     Observable,
     Pointer,
     PureState,
+    ZeroLikelihood,
+    backward_stats,
     bound_Ra,
     bound_Rb,
     conditional_mpur_sum,
+    forward_stats,
     mpur_check,
     orthogonal_state,
 )
-from seqmeas import NotHermitian, spin
+from seqmeas import NotHermitian, SeqMeasError, spin
 from seqmeas.mpur import ZERO_VARIANCE_TOL, _pure_variance, commutator_sign
 from seqmeas.validate import random_observable, random_pure
 
@@ -262,3 +266,75 @@ class TestConditionalMpurSumRanges:
                 float(rng.uniform(-0.5, 0.5)),
             )
             assert result.classical_bound == mpur_check(psi, a, b).bound
+
+
+def two_call_reference(rho0, stage1, stage2, x1, x2):
+    """``conditional_mpur_sum`` as separate forward and backward calls plus :func:`mpur_check`'s bound."""
+    values, vectors = np.linalg.eigh(rho0.matrix)
+    if values[-1] < 1.0 - 1e-8:
+        raise ValueError("initial state must be pure for the reference bound")
+    forward = forward_stats(rho0, stage1, stage2, x1).extracted_system_variance
+    backward = backward_stats(rho0, stage1, stage2, x2).extracted_system_variance
+    bound = mpur_check(PureState(vectors[:, -1]), stage1.observable, stage2.observable).bound
+    total = float(forward + backward)
+    return total, bound, total < bound
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (SeqMeasError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestConditionalMpurSumOneMomentPass:
+    """Both directions share one moment pass; results and errors are those of two separate calls."""
+
+    def test_forward_error_wins_over_backward(self, up):
+        # forward's normalization underflows at x1 = -30 and backward's outcome
+        # is not finite: the forward check runs first
+        with pytest.raises(ZeroLikelihood, match=r"^density normalization 0\.0 too small$"):
+            conditional_mpur_sum(
+                up,
+                MeasurementStage(spin.s_z(), Pointer(0.05)),
+                MeasurementStage(spin.s_x(), Pointer(0.5)),
+                -30.0,
+                float("nan"),
+            )
+
+    def test_backward_numerator_error(self, plus):
+        with pytest.raises(ValueError, match=r"^fixed outcomes must be finite$"):
+            conditional_mpur_sum(
+                plus,
+                MeasurementStage(spin.s_z(), Pointer(0.5)),
+                MeasurementStage(spin.s_x(), Pointer(0.5)),
+                0.2,
+                float("inf"),
+            )
+
+    def test_mixed_state_error_comes_first(self):
+        with pytest.raises(ValueError, match=r"^initial state must be pure for the reference bound$"):
+            conditional_mpur_sum(
+                DensityMatrix(np.eye(2) / 2),
+                MeasurementStage(spin.s_z(), Pointer(0.5)),
+                MeasurementStage(spin.s_x(), Pointer(0.5)),
+                float("nan"),
+                float("nan"),
+            )
+
+    def test_bit_equal_to_two_calls(self):
+        rng = np.random.default_rng(7021)
+        backward_only_failures = 0
+        for _ in range(240):
+            dim = int(rng.integers(2, 5))
+            rho = random_pure(rng, dim).density()
+            stage1 = MeasurementStage(random_observable(rng, dim), Pointer(float(10 ** rng.uniform(-2, 0.5))))
+            stage2 = MeasurementStage(random_observable(rng, dim), Pointer(float(10 ** rng.uniform(-2, 0.5))))
+            x1, x2 = float(2.0 * rng.normal()), float(3.0 * rng.normal())
+            case = (dim, stage1.sigma, stage2.sigma, x1, x2)
+            got = outcome(conditional_mpur_sum, rho, stage1, stage2, x1, x2)
+            assert got == outcome(two_call_reference, rho, stage1, stage2, x1, x2), case
+            forward_ok = outcome(forward_stats, rho, stage1, stage2, x1)[0] == "ok"
+            backward_only_failures += forward_ok and got[0] != "ok"
+        # the corpus reaches the deferred backward error path
+        assert backward_only_failures > 0
