@@ -6,8 +6,13 @@ density of outcome ``k`` conditioned on all others is a Gaussian pair sum
 built from the chain state of the earlier stages and the effect product
 of the later ones (:func:`numerator_rows`). The two-stage forward and
 backward queries of :mod:`seqmeas.conditional` are its N = 2 case with
-free index 2 and 1; only the chain entry points here refuse fixed
-outcomes beyond :data:`OUTCOME_SIGMA_CUTOFF`.
+free index 2 and 1.
+
+Each stage is folded in its own eigenbasis, where its Kraus operator is
+diagonal (:func:`~seqmeas.kraus.fold`), with one change of basis between
+consecutive stages. Every fold renormalizes, so the state and the effect
+stay O(1) however improbable the record; the dropped factors go into a
+log scale. The state and the effect meet in the free stage's eigenbasis.
 """
 
 from __future__ import annotations
@@ -21,10 +26,6 @@ from .core import DensityMatrix, Observable, check_states
 from .errors import DimensionMismatch, FirstFailure, VarianceInconsistency, ZeroLikelihood
 from .kraus import MeasurementStage, fold
 from .pointer import CENTERS, GaussianPairSum, check_coefficients, check_residue, moment_sums, moment_terms
-
-#: Fixed outcomes farther than this many sigmas from every eigenvalue abort
-#: a query instead of producing denormal likelihoods.
-OUTCOME_SIGMA_CUTOFF = 12.0
 
 #: Extracted variances in [-EXTRACTED_CLAMP, 0) clamp to zero; below raises.
 EXTRACTED_CLAMP = 1e-9
@@ -155,22 +156,48 @@ def one_row(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np.ndar
     )
 
 
+def _change_basis(matrices: np.ndarray, v_from, v_to) -> np.ndarray:
+    # operators written in the orthonormal columns v_from, rewritten in v_to;
+    # None stands for the computational basis
+    if v_from is v_to:
+        return matrices
+    if v_from is None:
+        u = v_to
+    elif v_to is None:
+        u = v_from.conj().T
+    else:
+        u = v_from.conj().T @ v_to
+    return u.conj().T @ matrices @ u
+
+
+def _fold_stages(matrices, log_scale, v, observables, outcomes, sigmas, basis):
+    # fold the stages in the order given, each in its own eigenbasis, from
+    # operators written in v; (B, k) outcomes and widths, one column per stage
+    for j, observable in enumerate(observables):
+        eigenbasis = observable.eigenvectors
+        matrices, log_scale = fold(
+            observable, sigmas[:, j], outcomes[:, j], _change_basis(matrices, v, eigenbasis), log_scale
+        )
+        v = eigenbasis
+    return _change_basis(matrices, v, basis), log_scale
+
+
 def chain_state_rows(
-    rho0: DensityMatrix, observables: Sequence[Observable], outcomes: np.ndarray, sigmas: np.ndarray
+    rho0: DensityMatrix, observables: Sequence[Observable], outcomes: np.ndarray, sigmas: np.ndarray, basis
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked :func:`chain_state` fold for ``(B, k)`` outcomes and ``(B, N)`` widths.
 
     ``observables`` are the N stages' observables. Returns ``(B, d, d)``
-    matrices and ``(B,)`` log scales, or single broadcastable ones when no
-    stage is folded. Callers check the states.
+    matrices written in the orthonormal columns ``basis`` (``None`` for the
+    computational basis) and ``(B,)`` log scales, or single broadcastable
+    ones when no stage is folded. Callers check the states.
     """
-    if outcomes.shape[1] > len(observables):
-        raise ValueError(f"{outcomes.shape[1]} outcomes for a {len(observables)}-stage chain")
-    matrices = rho0.matrix[None]
-    log_scale = np.array([rho0.log_scale])
-    for j in range(outcomes.shape[1]):
-        matrices, log_scale = fold(observables[j], sigmas[:, j], outcomes[:, j], matrices, log_scale)
-    return matrices, log_scale
+    k = outcomes.shape[1]
+    if k > len(observables):
+        raise ValueError(f"{k} outcomes for a {len(observables)}-stage chain")
+    return _fold_stages(
+        rho0.matrix[None], np.array([rho0.log_scale]), None, observables[:k], outcomes, sigmas, basis
+    )
 
 
 def chain_state(chain: MeasurementChain, outcomes: Sequence[float]) -> DensityMatrix:
@@ -181,29 +208,31 @@ def chain_state(chain: MeasurementChain, outcomes: Sequence[float]) -> DensityMa
     prefactor.
     """
     fixed, sigmas = one_row(chain, outcomes)
-    matrices, log_scale = chain_state_rows(chain.initial_state, chain.observables, fixed, sigmas)
+    matrices, log_scale = chain_state_rows(chain.initial_state, chain.observables, fixed, sigmas, None)
     return DensityMatrix(matrices[0], log_scale=float(log_scale[0]))
 
 
 def effect_chain_rows(
-    observables: Sequence[Observable], outcomes: np.ndarray, sigmas: np.ndarray
+    observables: Sequence[Observable], outcomes: np.ndarray, sigmas: np.ndarray, basis
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`effect_chain` for ``(B, k)`` outcomes of the last ``k`` of the N stages.
 
-    Returns ``(B, d, d)`` effect matrices and ``(B,)`` log scales, or a
-    single broadcastable identity and zero when ``k`` is 0.
+    Returns ``(B, d, d)`` effect matrices written in the orthonormal
+    columns ``basis`` (``None`` for the computational basis) and ``(B,)``
+    log scales, or a single broadcastable identity and zero when ``k`` is 0.
     """
-    n_fixed = outcomes.shape[1]
-    if n_fixed > len(observables):
-        raise ValueError(f"{n_fixed} outcomes for a {len(observables)}-stage chain")
-    matrices = np.eye(observables[0].dim, dtype=complex)[None]
-    log_scale = np.zeros(1)
-    first = len(observables) - n_fixed
-    for k in reversed(range(n_fixed)):
-        matrices, log_scale = fold(
-            observables[first + k], sigmas[:, first + k], outcomes[:, k], matrices, log_scale
-        )
-    return matrices, log_scale
+    k = outcomes.shape[1]
+    if k > len(observables):
+        raise ValueError(f"{k} outcomes for a {len(observables)}-stage chain")
+    identity = np.eye(observables[0].dim, dtype=complex)[None]
+    if not k:
+        return identity, np.zeros(1)
+    # the identity reads the same in every basis: it starts in the last stage's
+    later = slice(len(observables) - k, None)
+    return _fold_stages(
+        identity, np.zeros(1), observables[-1].eigenvectors,
+        observables[later][::-1], outcomes[:, ::-1], sigmas[:, later][:, ::-1], basis,
+    )
 
 
 def effect_chain(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np.ndarray, float]:
@@ -214,7 +243,7 @@ def effect_chain(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np
     ``(matrix, log_scale)``: the physical operator is
     ``exp(log_scale) * matrix``, so the matrix stays O(1).
     """
-    matrices, log_scale = effect_chain_rows(chain.observables, *one_row(chain, outcomes))
+    matrices, log_scale = effect_chain_rows(chain.observables, *one_row(chain, outcomes), None)
     return matrices[0], float(log_scale[0])
 
 
@@ -222,18 +251,6 @@ def pair_centers(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centers of the ``d^2`` pair terms of a density over a full eigenbasis."""
     d = eigenvalues.size
     return np.repeat(eigenvalues, d), np.tile(eigenvalues, d)
-
-
-def basis_hadamard(v: np.ndarray, rho: np.ndarray, effect: np.ndarray) -> np.ndarray:
-    """Pair-sum coefficients ``(V^H rho V) * (V^H E V)^T`` in the eigenbasis ``v``.
-
-    The Hadamard product of a state and the transposed effect, both written
-    in the free stage's eigenbasis: Hermitian and positive semidefinite
-    (Schur product of PSD factors), so the pair sum it induces is a
-    nonnegative density. ``rho`` and ``effect`` may be ``(B, d, d)`` stacks.
-    """
-    vh = v.conj().T
-    return (vh @ rho @ v) * np.swapaxes(vh @ effect @ v, -1, -2)
 
 
 def numerator_rows(
@@ -250,18 +267,24 @@ def numerator_rows(
     ``sigmas`` the ``(B, N)`` widths, finite and positive as
     :class:`Pointer` enforces. Each row checks, in order: finite outcomes,
     the state of the earlier stages, finite coefficients. With free index 1
-    no stage is folded and the state is ``rho0.matrix``, which
-    :class:`DensityMatrix` construction ran through the same state check.
+    no stage is folded and the state is ``rho0.matrix`` in the free stage's
+    eigenbasis; :class:`DensityMatrix` construction ran it through the same
+    state check.
+
+    The coefficients are ``rho * E^T`` with the state ``rho`` and the
+    effect ``E`` both written in the free stage's eigenbasis: a Schur
+    product of PSD factors, so the pair sum is a nonnegative density.
     Returns the ``(n, d^2)`` coefficients of the live rows, the shared pair
-    centers and the ``(n,)`` free widths. No outcome cutoff applies here.
+    centers and the ``(n,)`` free widths.
     """
     n = rows.check(~np.isfinite(fixed).all(axis=-1), lambda i: ValueError("fixed outcomes must be finite"))
     free = free_index - 1
-    rho, _ = chain_state_rows(rho0, observables, fixed[:n, :free], sigmas[:n])
+    basis = observables[free].eigenvectors
+    rho, _ = chain_state_rows(rho0, observables, fixed[:n, :free], sigmas[:n], basis)
     if free:
         n = check_states(rho, rows)
-    effect, _ = effect_chain_rows(observables, fixed[:n, free:], sigmas[:n])
-    coeffs = basis_hadamard(observables[free].eigenvectors, rho[:n], effect)
+    effect, _ = effect_chain_rows(observables, fixed[:n, free:], sigmas[:n], basis)
+    coeffs = rho[:n] * effect.swapaxes(-1, -2)
     coeffs = coeffs.reshape(-1, coeffs.shape[-1] ** 2)
     if len(coeffs) != n:
         coeffs = np.repeat(coeffs, n, axis=0)
@@ -271,27 +294,8 @@ def numerator_rows(
 
 
 def _pair_rows(chain, free_index, fixed, sigmas, rows: FirstFailure):
-    # the chain entry points' reach check, then the numerators: the query
-    # shape, and every fixed outcome against its stage's spectrum (a row
-    # fails at its first out-of-reach stage). Rows with a non-finite outcome
-    # are left to numerator_rows, whose finite check comes first in a row.
+    # the chain entry points check the query shape, then run the numerators
     _check_query_shape(chain, free_index, fixed.shape[1])
-    n = rows.rows
-    others = [j for j in range(len(chain)) if j != free_index - 1]
-    gaps = np.empty((n, len(others)))
-    for k, j in enumerate(others):
-        gaps[:, k] = np.abs(fixed[:n, k, None] - chain.stages[j].observable.levels).min(axis=-1)
-    far = gaps > OUTCOME_SIGMA_CUTOFF * sigmas[:n, others]
-
-    def unreachable(i):
-        k = int(np.argmax(far[i]))
-        j = others[k]
-        return ZeroLikelihood(
-            f"outcome {float(fixed[i, k])!r} of stage {j + 1} lies {gaps[i, k] / sigmas[i, j]:.1f} "
-            f"sigma from every eigenvalue (cutoff {OUTCOME_SIGMA_CUTOFF})"
-        )
-
-    rows.check(far.any(axis=-1) & np.isfinite(fixed[:n]).all(axis=-1), unreachable)
     return numerator_rows(chain.initial_state, chain.observables, free_index, fixed, sigmas, rows)
 
 

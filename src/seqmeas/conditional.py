@@ -4,8 +4,8 @@ Conditioning runs both ways. The recorded first outcome reshapes the
 second pointer's distribution (causal backaction); conditioning on the
 second outcome reshapes the statistics of the already-recorded first one
 (noncausal backaction). Each is a 2-stage chain query on the engine of
-:mod:`seqmeas.chain` (free index 2 forward, 1 backward), without the
-chain's outcome cutoff. Both conditional densities are Gaussian pair sums
+:mod:`seqmeas.chain` (free index 2 forward, 1 backward). Both conditional
+densities are Gaussian pair sums
 in the free outcome, so their means and variances are closed-form;
 numerical quadrature enters only as an independent oracle.
 """
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ConditionalStats, check_normalization, numerator_rows, pair_rows_moments
-from .core import DensityMatrix, Observable, level_weights, require_same_dim
+from .chain import ConditionalStats, MeasurementChain, chain_state, check_normalization, numerator_rows, pair_rows_moments
+from .core import DensityMatrix, Observable, require_same_dim
 from .errors import FirstFailure
-from .kraus import MeasurementStage, fold
+from .kraus import MeasurementStage
 from .pointer import GaussianPairSum
 
 
@@ -85,16 +85,15 @@ def conditional_state(
     require_same_dim(stage1.dim, rho0.dim)
     if not np.isfinite(x1):
         raise ValueError(f"outcome must be finite, got {float(x1)!r}")
-    matrices, log_scale = fold(
-        stage1.observable, _one(stage1.sigma), _one(x1), rho0.matrix, rho0.log_scale
-    )
-    return DensityMatrix(matrices[0], log_scale=float(log_scale[0]))
+    return chain_state(MeasurementChain((stage1,), rho0), [x1])
 
 
 def marginal_density_x1(rho0: DensityMatrix, stage1: MeasurementStage) -> GaussianPairSum:
     """Unconditional density of the first outcome: a plain Gaussian mixture."""
-    weights = np.clip(level_weights(stage1.observable.projectors, rho0.matrix[None])[0], 0.0, None)
-    return GaussianPairSum.mixture(weights, stage1.observable.levels, stage1.sigma)
+    obs = stage1.observable
+    populations = np.einsum("ia,ij,ja->a", obs.eigenvectors.conj(), rho0.matrix, obs.eigenvectors).real
+    weights = np.bincount(obs.level_of, weights=populations, minlength=obs.levels.size)
+    return GaussianPairSum.mixture(np.clip(weights, 0.0, None), obs.levels, stage1.sigma)
 
 
 def forward_density(
@@ -162,8 +161,8 @@ def backward_density(
     """Density of the first outcome given the second: ``p(x1 | x2)``.
 
     The numerator is the pair sum over ``x1`` proportional to
-    ``Tr[rho_bar_1(x1) E(x2)]``, with :func:`~seqmeas.chain.basis_hadamard`
-    coefficients in the first observable's eigenbasis.
+    ``Tr[rho_bar_1(x1) E(x2)]``, with coefficients ``rho * E^T`` in the
+    first observable's eigenbasis (:func:`~seqmeas.chain.numerator_rows`).
     """
     return _density(rho0, stage1, stage2, 1, x2, "backward", "backward")
 

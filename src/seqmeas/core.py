@@ -1,7 +1,8 @@
 """Dense complex linear algebra for finite-dimensional quantum systems.
 
 States are density matrices, observables are stored spectrally
-(eigenvalues, eigenvectors, and one projector per distinct eigenvalue).
+(eigenvalues, eigenvectors, and the distinct levels with each eigenvalue's
+level index).
 Everything is immutable after construction and safe to share across
 threads.
 """
@@ -75,30 +76,13 @@ def check_states(matrices: np.ndarray, rows: FirstFailure) -> int:
     )
 
 
-def normalize_states(matrices: np.ndarray, rows: FirstFailure) -> np.ndarray:
-    """Unit-trace copies of a ``(B, d, d)`` stack of states, checked again.
-
-    Rows whose trace is not finite or below 1e-300 fail with
-    :class:`ZeroLikelihood`. Returns the live rows only.
-    """
-    t = np.trace(matrices, axis1=-2, axis2=-1).real
-    n = rows.check(
-        ~(np.isfinite(t) & (t >= 1e-300)),
-        lambda i: ZeroLikelihood(f"cannot normalize state with trace {t[i]:.3e}"),
-    )
-    normalized = matrices[:n] / t[:n, None, None]
-    return normalized[: check_states(normalized, rows)]
-
-
-def eigh(matrix, *, herm_tol: float = HERMITICITY_TOL):
+def eigh(matrix):
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     matrix : array_like
-        Square complex matrix, Hermitian within ``herm_tol`` (entrywise).
-    herm_tol : float
-        Largest tolerated entry of ``M - M^dagger``.
+        Square complex matrix, Hermitian within ``HERMITICITY_TOL`` (entrywise).
 
     Returns
     -------
@@ -116,8 +100,8 @@ def eigh(matrix, *, herm_tol: float = HERMITICITY_TOL):
     """
     m = _as_square_complex(matrix)
     defect = hermiticity_defect(m)
-    if defect > herm_tol:
-        raise NotHermitian(f"max |M - M^dagger| = {defect:.3e} exceeds {herm_tol:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise NotHermitian(f"max |M - M^dagger| = {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     try:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -128,7 +112,7 @@ def group_degenerate(eigenvalues, gap_tol: float = DEGENERACY_GAP_TOL) -> list[l
     """Partition ascending eigenvalues into groups of (near-)degenerate ones.
 
     Consecutive eigenvalues closer than ``gap_tol`` are merged into one
-    spectral group; each group later becomes a single projector.
+    spectral group; each group later becomes a single level.
     """
     values = np.asarray(eigenvalues, dtype=float)
     starts = _group_starts(values, gap_tol)
@@ -161,18 +145,15 @@ class Observable:
         Orthonormal eigenvector columns, aligned with ``eigenvalues``.
     levels : ndarray
         Distinct eigenvalues after degeneracy grouping.
-    projectors : ndarray
-        Stack of spectral projectors, one per level; Hermitian, idempotent,
-        mutually orthogonal, summing to the identity.
     level_of : ndarray
-        Index into ``levels`` for each entry of ``eigenvalues``.
+        Index into ``levels`` for each entry of ``eigenvalues``; the
+        eigenvector columns of one level span its spectral projector.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     levels: np.ndarray
-    projectors: np.ndarray
     level_of: np.ndarray
 
     @property
@@ -180,12 +161,12 @@ class Observable:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, matrix, gap_tol: float = DEGENERACY_GAP_TOL) -> "Observable":
+    def from_matrix(cls, matrix) -> "Observable":
         """Build an observable from a Hermitian matrix."""
         m = _as_square(matrix)
         if not m.size:
             raise ValueError("expected a square matrix, got shape (0, 0)")
-        return cls._from_stack(m[None], gap_tol, FirstFailure(1))[0]
+        return cls._from_stack(m[None], FirstFailure(1))[0]
 
     @classmethod
     def from_matrices(cls, matrices) -> list["Observable"]:
@@ -202,12 +183,12 @@ class Observable:
         if not len(m):
             return []
         rows = FirstFailure(len(m))
-        observables = cls._from_stack(m, DEGENERACY_GAP_TOL, rows)
+        observables = cls._from_stack(m, rows)
         rows.raise_first()
         return observables
 
     @classmethod
-    def _from_stack(cls, m, gap_tol, rows) -> list["Observable"]:
+    def _from_stack(cls, m, rows) -> list["Observable"]:
         """:meth:`from_matrices` of a stack of this call's own copies; ``rows`` records failures."""
         n = rows.check(
             ~np.isfinite(m).all(axis=(-2, -1)),
@@ -224,14 +205,13 @@ class Observable:
         m = m[:n]
         # eigh of a finite matrix gives finite, freshly allocated arrays
         values, vectors = _eigh_rows(m, rows)
-        return cls._from_finite_spectra(values, vectors, gap_tol, m[: len(values)], rows)
+        return cls._from_finite_spectra(values, vectors, m[: len(values)], rows)
 
     @classmethod
     def from_spectrum(
         cls,
         eigenvalues,
         eigenvectors,
-        gap_tol: float = DEGENERACY_GAP_TOL,
         matrix: np.ndarray | None = None,
     ) -> "Observable":
         """Build an observable from ascending eigenvalues and orthonormal columns."""
@@ -249,11 +229,11 @@ class Observable:
             )
         matrices = None if matrix is None else np.array(matrix, dtype=complex)[None]
         return cls._from_finite_spectra(
-            values.reshape(1, d), vectors[None], gap_tol, matrices, FirstFailure(1)
+            values.reshape(1, d), vectors[None], matrices, FirstFailure(1)
         )[0]
 
     @classmethod
-    def _from_finite_spectra(cls, values, vectors, gap_tol, matrices, rows) -> list["Observable"]:
+    def _from_finite_spectra(cls, values, vectors, matrices, rows) -> list["Observable"]:
         """Observables of ``(n, d)`` finite spectra, the checks of :meth:`from_spectrum` first.
 
         ``matrices`` holds each operator (rebuilt from its spectrum when
@@ -263,13 +243,10 @@ class Observable:
         unitarity = np.abs(vectors.conj().swapaxes(-1, -2) @ vectors - _identity(d)).max(axis=(-2, -1))
         # smallest gap to the next eigenvalue (inf for d = 1)
         gap = (values[:, 1:] - values[:, :-1]).min(axis=-1, initial=np.inf)
-        skewed, descending = unitarity > 1e-10, gap < -gap_tol
-        if gap_tol <= 0 and not skewed[0]:
-            # row 0 always gets this far, and fails here
-            raise ValueError("gap_tol must be positive")
+        skewed = unitarity > 1e-10
         # the orthonormality and then the ordering check of every row, as one check
         n = rows.check(
-            skewed | descending,
+            skewed | (gap < -DEGENERACY_GAP_TOL),
             lambda i: ValueError(
                 f"eigenvectors not orthonormal: defect {unitarity[i]:.3e}"
                 if skewed[i]
@@ -281,26 +258,11 @@ class Observable:
         if matrices is None:
             matrices = (vectors * values[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
         values, vectors, matrices = _frozen(values), _frozen(vectors), _frozen(matrices[:n])
-        nondegenerate = gap > gap_tol
-        plain = nondegenerate.tolist()
-        # one rank-1 projector per eigenvalue for every nondegenerate row, in one matmul
-        columns = (vectors if all(plain) else vectors[nondegenerate]).swapaxes(-1, -2)
-        rank_one = iter(_frozen(columns[..., :, None] @ columns[..., None, :].conj()))
         observables = []
-        for i in range(n):
-            if plain[i]:
-                levels, projectors, level_of = values[i], next(rank_one), _level_index(d)
-            else:
-                levels, projectors, level_of = _grouped_spectral_data(values[i], vectors[i], gap_tol)
+        for i, plain in enumerate((gap > DEGENERACY_GAP_TOL).tolist()):
+            levels, level_of = (values[i], _level_index(d)) if plain else _grouped_levels(values[i])
             observables.append(
-                cls(
-                    matrix=matrices[i],
-                    eigenvalues=values[i],
-                    eigenvectors=vectors[i],
-                    levels=levels,
-                    projectors=projectors,
-                    level_of=level_of,
-                )
+                cls(matrix=matrices[i], eigenvalues=values[i], eigenvectors=vectors[i], levels=levels, level_of=level_of)
             )
         return observables
 
@@ -337,17 +299,16 @@ def _eigh_rows(m: np.ndarray, rows: FirstFailure):
     )
 
 
-def _grouped_spectral_data(values, vectors, gap_tol):
-    """Levels, projectors and level index of a degenerate spectrum, one group at a time.
+def _grouped_levels(values):
+    """Levels and level index of a degenerate spectrum, one group at a time.
 
     Per group, as before: whole-array forms round the sums differently.
     """
+    starts = _group_starts(values, DEGENERACY_GAP_TOL)
     level_of = np.zeros(values.size, dtype=np.intp)
-    np.cumsum(_group_starts(values, gap_tol), out=level_of[1:])
-    groups = group_degenerate(values, gap_tol)
-    levels = np.array([values[g].mean() for g in groups])
-    projectors = np.stack([vectors[:, g] @ vectors[:, g].conj().T for g in groups])
-    return _frozen(levels), _frozen(projectors), _frozen(level_of)
+    np.cumsum(starts, out=level_of[1:])
+    levels = np.array([group.mean() for group in np.split(values, np.flatnonzero(starts) + 1)])
+    return _frozen(levels), _frozen(level_of)
 
 
 @dataclass(frozen=True)
@@ -396,7 +357,10 @@ class DensityMatrix:
         ZeroLikelihood
             If the trace is too small to normalize against.
         """
-        return DensityMatrix(normalize_states(self.matrix[None], FirstFailure(1))[0])
+        t = float(np.trace(self.matrix).real)
+        if not (np.isfinite(t) and t >= 1e-300):
+            raise ZeroLikelihood(f"cannot normalize state with trace {t:.3e}")
+        return DensityMatrix(self.matrix / t)
 
     @classmethod
     def from_matrix(cls, matrix, *, require_normalized: bool = True) -> "DensityMatrix":
@@ -446,20 +410,6 @@ class PureState:
 
     def overlap_with(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def level_weights(projectors: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Real parts of ``Tr[P_g rho]`` for every level and every row of a state stack.
-
-    Returns ``(B, L)`` for ``(L, d, d)`` projectors and ``(B, d, d)`` states.
-    Each product is rounded on its own and the sums run left to right,
-    row index outer, column index inner: the rounding of
-    ``einsum("gij,ji->g", P, rho)`` for each state.
-    """
-    swapped = np.swapaxes(states, -1, -2)[:, None]
-    terms = projectors.real * swapped.real - projectors.imag * swapped.imag
-    row_sums = np.cumsum(terms, axis=-1)[..., -1]
-    return 0.0 + np.cumsum(row_sums, axis=-1)[..., -1]
 
 
 def require_same_dim(*dims: int) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, Observable, check_states, level_weights, require_same_dim, variance_of
+from .core import DensityMatrix, Observable, check_states, require_same_dim, variance_of
 from .errors import FirstFailure
 from .kraus import MeasurementStage
 
@@ -40,17 +40,18 @@ def post_first_state(rho0: DensityMatrix, stage1: MeasurementStage) -> DensityMa
     An eigenstate of the observable passes through unchanged.
     """
     require_same_dim(stage1.dim, rho0.dim)
-    return DensityMatrix(_post_first_matrices(rho0, stage1.observable, np.array([stage1.sigma]))[0])
+    v = stage1.observable.eigenvectors
+    dephased = _dephased_rows(rho0, stage1.observable, np.array([stage1.sigma]))[0]
+    return DensityMatrix(v @ dephased @ v.conj().T)
 
 
-def _post_first_matrices(rho0: DensityMatrix, obs: Observable, sigmas: np.ndarray) -> np.ndarray:
-    # one dephased state per width, as a (B, d, d) stack
+def _dephased_rows(rho0: DensityMatrix, obs: Observable, sigmas: np.ndarray) -> np.ndarray:
+    # one dephased state per width, as a (B, d, d) stack in the eigenbasis of obs
     v = obs.eigenvectors
     lam = obs.eigenvalues
     diff = lam[:, None] - lam[None, :]
     decay = np.exp(-(diff * diff) / (8.0 * sigmas * sigmas)[:, None, None])
-    rotated = v.conj().T @ rho0.matrix @ v
-    return v @ (decay * rotated) @ v.conj().T
+    return decay * (v.conj().T @ rho0.matrix @ v)
 
 
 def pointer1_variance(rho0: DensityMatrix, stage1: MeasurementStage) -> float:
@@ -67,8 +68,9 @@ def backaction_variance(
 ) -> float:
     """Variance of a second observable evaluated on the post-first state.
 
-    Computed from the spectral weights of ``observable_b`` on the dephased
-    state, so tests can pit it against the generic matrix-product variance.
+    Computed from the populations of the dephased state in the eigenbasis
+    of ``observable_b``, so tests can pit it against the generic
+    matrix-product variance.
     """
     rows = FirstFailure(1)
     return float(backaction_variance_rows(rho0, stage1.observable, np.array([stage1.sigma]), observable_b, rows)[0])
@@ -88,11 +90,14 @@ def backaction_variance_rows(
     :meth:`FirstFailure.raise_first`.
     """
     require_same_dim(obs1.dim, observable_b.dim, rho0.dim)
-    states = _post_first_matrices(rho0, obs1, sigma1)
+    states = _dephased_rows(rho0, obs1, sigma1)
     n = check_states(states, rows)
-    weights = level_weights(observable_b.projectors, states[:n])
-    mean = (weights * observable_b.levels).sum(axis=-1)
-    second = (weights * observable_b.levels**2).sum(axis=-1)
+    # diagonal of U^H rho U, U = V1^H V_B: the populations of B's eigenvectors
+    u = obs1.eigenvectors.conj().T @ observable_b.eigenvectors
+    populations = ((states[:n] @ u) * u.conj()).sum(axis=-2).real
+    levels = observable_b.levels[observable_b.level_of]
+    mean = (populations * levels).sum(axis=-1)
+    second = (populations * levels**2).sum(axis=-1)
     variance = second - mean * mean
     return np.where(0.0 > variance, 0.0, variance)
 

@@ -3,9 +3,11 @@
 A stage couples one system observable to one Gaussian probe. For a pointer
 outcome ``x`` the Kraus operator is the eigenprojector sum weighted by the
 pointer amplitude at ``x - a`` for each eigenvalue ``a``; the effect
-operator is its square. Operators are stored densely in the computational
-basis so chains over different observables multiply without basis
-bookkeeping.
+operator is its square. In the observable's eigenbasis both are diagonal,
+``diag(w[level_of])``, so the engine folds a stage into a state or an
+effect as a Hadamard product there (:func:`fold`) and changes basis only
+between stages. :func:`kraus_at` and :func:`effect_at` return the dense
+matrices in the computational basis.
 """
 
 from __future__ import annotations
@@ -42,44 +44,40 @@ def scaled_kraus_weights(stage: MeasurementStage, x: float) -> tuple[np.ndarray,
     Returns ``(weights, log_scale)`` with true amplitudes
     ``exp(log_scale) * weights``; keeps far-outcome chains representable.
     """
-    weights, top = scaled_weight_rows(stage.observable.levels, np.array([stage.sigma]), np.array([x]))
-    return weights[0], float(top[0])
-
-
-def scaled_weight_rows(levels, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`scaled_kraus_weights` for ``B`` (width, outcome) rows at once.
-
-    Returns ``(B, L)`` weights whose row maximum is one and the ``(B,)``
-    log scales.
-    """
-    logs = log_amplitude_at(sigmas[:, None], xs[:, None], levels)
-    top = logs.max(axis=-1)
-    return np.exp(logs - top[:, None]), top
-
-
-def projector_sums(projectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Operators ``sum_g weights[b, g] P_g`` as a ``(B, d, d)`` stack.
-
-    Accumulates from zero in level order, the rounding of
-    ``einsum("g,gij->ij", w, P)`` for each row.
-    """
-    out = np.zeros((weights.shape[0],) + projectors.shape[1:], dtype=complex)
-    for g, projector in enumerate(projectors):
-        out += weights[:, g, None, None] * projector
-    return out
+    logs = log_amplitude_at(stage.sigma, x, stage.observable.levels)
+    top = logs.max()
+    return np.exp(logs - top), float(top)
 
 
 def fold(observable: Observable, sigmas, xs, matrices, log_scale) -> tuple[np.ndarray, np.ndarray]:
-    """One Kraus sandwich ``K rho K`` per (width, outcome) row.
+    """One Kraus sandwich ``K rho K`` per (width, outcome) row, in the stage's eigenbasis.
 
-    ``K`` is the stage's Kraus operator with weights rescaled as in
-    :func:`scaled_weight_rows`; ``matrices`` is one ``(d, d)`` operator or
-    a ``(B, d, d)`` stack. Returns the ``(B, d, d)`` products and
-    ``log_scale`` plus twice each row's dropped log amplitude.
+    There ``K`` is ``diag(w)`` with ``w = weights[:, level_of]``, so the
+    product is ``(w_i w_j) * rho_ij``. ``matrices`` is one ``(d, d)``
+    operator or a ``(B, d, d)`` stack, written in the eigenbasis. Each
+    row's weights are rescaled so that its largest folded diagonal entry
+    is one; a row whose populated entries underflow against that scale
+    folds to zero. Returns the ``(B, d, d)`` products and ``log_scale``
+    plus twice each row's dropped log factor.
+
+    The products are exactly Hermitian: the fold takes the Hermitian part
+    of ``matrices``. A fold that selects a direction of small population
+    scales its entries up by the inverse population, and with them the
+    anti-Hermitian rounding of the basis change before it.
     """
-    weights, log_w = scaled_weight_rows(observable.levels, sigmas, xs)
-    kraus = projector_sums(observable.projectors, weights)
-    return kraus @ matrices @ kraus, log_scale + 2.0 * log_w
+    logs = log_amplitude_at(sigmas[:, None], xs[:, None], observable.levels)[:, observable.level_of]
+    diagonal = matrices.diagonal(axis1=-2, axis2=-1).real
+    top = (logs + 0.5 * np.log(np.maximum(diagonal, 1e-300))).max(axis=-1)
+    w = np.exp(logs - top[:, None])
+    # (w_i w_j / 2)(M + M^H): both factors are exactly symmetric, so the product is exactly Hermitian
+    folded = (w[:, :, None] * (0.5 * w)[:, None, :]) * (matrices + matrices.swapaxes(-1, -2).conj())
+    return folded, log_scale + 2.0 * top
+
+
+def _spectral_matrix(observable: Observable, weights: np.ndarray) -> np.ndarray:
+    # sum_g weights[g] P_g in the computational basis: V diag(weights[level_of]) V^H
+    v = observable.eigenvectors
+    return (v * weights[observable.level_of]) @ v.conj().T
 
 
 def kraus_at(stage: MeasurementStage, x: float) -> np.ndarray:
@@ -88,14 +86,12 @@ def kraus_at(stage: MeasurementStage, x: float) -> np.ndarray:
     Diagonal in the stage observable's eigenbasis; its operator norm never
     exceeds the peak amplitude ``amplitude(sigma, 0, 0)``.
     """
-    w = amplitude(stage.pointer, x, stage.observable.levels)
-    return projector_sums(stage.observable.projectors, w[None])[0]
+    return _spectral_matrix(stage.observable, amplitude(stage.pointer, x, stage.observable.levels))
 
 
 def effect_at(stage: MeasurementStage, x: float) -> np.ndarray:
     """Effect operator ``sum_a psi(x - a)^2 P_a`` as a matrix; equals ``M^dagger M``."""
-    w = amplitude(stage.pointer, x, stage.observable.levels) ** 2
-    return projector_sums(stage.observable.projectors, w[None])[0]
+    return _spectral_matrix(stage.observable, amplitude(stage.pointer, x, stage.observable.levels) ** 2)
 
 
 def default_domain(stage: MeasurementStage, pad_sigmas: float = 10.0) -> tuple[float, float]:
@@ -125,5 +121,5 @@ def completeness_defect(stage: MeasurementStage, cfg=None, domain=None) -> float
         quad_moment(lambda x, a=a: amplitude(stage.pointer, x, a) ** 2, (lo, hi), 0, cfg)
         for a in stage.observable.levels
     ]
-    total = projector_sums(stage.observable.projectors, np.asarray(weights)[None])[0]
+    total = _spectral_matrix(stage.observable, np.asarray(weights))
     return float(np.max(np.abs(total - np.eye(stage.dim))))

@@ -446,8 +446,8 @@ def _sample_rejection(
     support = proposal_weights > 1e-300
     weights = proposal_weights[support] / proposal_weights[support].sum()
     centers = proposal_centers[support]
-    level_weights = np.zeros(proposal_centers.size)
-    level_weights[support] = weights
+    center_weights = np.zeros(proposal_centers.size)
+    center_weights[support] = weights
 
     # rigorous envelope: v^T C v <= lam_max(C) * sum_i psi_i^2 and the
     # proposal mixture dominates that sum by its smallest weight
@@ -469,7 +469,7 @@ def _sample_rejection(
         # one row per level keeps the per-level passes contiguous
         amps = np.exp(-((y - proposal_centers[:, None]) ** 2) / (4.0 * sigma * sigma))
         target = ((real_coeffs @ amps) * amps).sum(axis=0)
-        proposal = level_weights @ (amps * amps)
+        proposal = center_weights @ (amps * amps)
         accept = rng.random(batch) * envelope * proposal <= target
         accepted.append(y[accept])
         got += int(accept.sum())

@@ -14,7 +14,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import conditional, joint, mpur, spin
 from .core import DensityMatrix, Observable, PureState, variance_of
-from .kraus import MeasurementStage, completeness_defect, kraus_at
+from .kraus import MeasurementStage, completeness_defect, effect_at, kraus_at
 from .oracle import (
     QuadratureConfig,
     pair_sum_domain,
@@ -168,19 +168,7 @@ def _suite_conditional(seed: int, trials: int) -> list[CheckResult]:
         s2 = MeasurementStage(random_observable(rng, dim), Pointer(float(rng.uniform(0.3, 1.5))))
         x1, x2 = rng.uniform(-1.5, 1.5, size=2)
         p_x1 = conditional.conditional_state(rho, s1, x1).trace
-        p_x2 = float(
-            np.trace(
-                joint.post_first_state(rho, s1).matrix
-                @ np.einsum(
-                    "g,gij->ij",
-                    np.exp(
-                        -((x2 - s2.observable.levels) ** 2) / (2.0 * s2.sigma**2)
-                    )
-                    * (2 * np.pi * s2.sigma**2) ** -0.5,
-                    s2.observable.projectors,
-                )
-            ).real
-        )
+        p_x2 = float(np.trace(joint.post_first_state(rho, s1).matrix @ effect_at(s2, x2)).real)
         fwd = conditional.forward_density(rho, s1, s2, x1)
         bwd = conditional.backward_density(rho, s1, s2, x2)
         lhs = float(fwd.pdf(x2)) * p_x1

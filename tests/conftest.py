@@ -34,3 +34,16 @@ def sx_stage():
 @pytest.fixture
 def up():
     return DensityMatrix.pure(spin.KET_UP)
+
+
+@pytest.fixture
+def spectral_projectors():
+    """Builds an observable's ``(L, d, d)`` spectral projectors from its eigenvectors and level index."""
+
+    def build(obs) -> np.ndarray:
+        v = obs.eigenvectors
+        return np.stack(
+            [v[:, obs.level_of == g] @ v[:, obs.level_of == g].conj().T for g in range(obs.levels.size)]
+        )
+
+    return build

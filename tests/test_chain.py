@@ -4,12 +4,13 @@ from scipy.integrate import quad
 
 from seqmeas import (
     ChainQuery,
+    DensityMatrix,
     DimensionMismatch,
     MeasurementChain,
     MeasurementStage,
     Observable,
     Pointer,
-    ZeroLikelihood,
+    VarianceInconsistency,
     backward_stats,
     chain_state,
     conditional_density_k,
@@ -21,6 +22,8 @@ from seqmeas import (
 )
 from seqmeas import spin
 from seqmeas.validate import random_density, random_observable
+
+from reference import dense_kraus_reference
 
 
 @pytest.fixture
@@ -54,7 +57,7 @@ class TestChainState:
         expected = float(np.trace(rbar1.matrix @ effect).real) * np.exp(rbar1.log_scale)
         assert abs(rho2.trace - expected) < 1e-14
 
-    def test_listing_chain_trace_positive_and_matches_quadrature(self, listing_chain):
+    def test_listing_chain_trace_positive_and_matches_quadrature(self, listing_chain, spectral_projectors):
         # joint density of (x1, x2) after integrating the last two outcomes out
         x1, x2 = 0.3, -0.2
         rho2 = chain_state(
@@ -63,7 +66,7 @@ class TestChainState:
         assert rho2.trace > 0.0
         p1 = spin.rhobar1_closed(0.5, x1)
         weights = np.einsum(
-            "gij,ji->g", spin.s_x().projectors, p1.matrix
+            "gij,ji->g", spectral_projectors(spin.s_x()), p1.matrix
         ).real
         pdf = (2 * np.pi * 0.25) ** -0.5 * np.exp(-((x2 - spin.s_x().levels) ** 2) / 0.5)
         assert abs(rho2.trace - float(np.dot(weights, pdf))) < 1e-14
@@ -122,12 +125,14 @@ class TestReducesToTwoStageModel:
             assert abs(got.extracted_variance - ref.extracted_system_variance) < 1e-12
 
     def test_outcome_cutoff_applies_to_chain_queries_only(self, plus, sz_stage, sx_stage):
-        # x1 = -1.2 lies 17.5 widths from the nearer S_z eigenvalue at sigma1 = 0.04
+        # no outcome cutoff applies to either API: x1 = -1.2 lies 17.5 widths
+        # from the nearer S_z eigenvalue at sigma1 = 0.04, and the record
+        # collapses the state onto that eigenstate, as it does further out
         first, second = sz_stage(0.04), sx_stage(0.5)
-        assert forward_stats(plus, first, second, -1.2).extracted_system_variance == 0.25
-        message = r"^outcome -1.2 of stage 1 lies 17.5 sigma from every eigenvalue \(cutoff 12.0\)$"
-        with pytest.raises(ZeroLikelihood, match=message):
-            conditional_stats_k(MeasurementChain((first, second), plus), ChainQuery(2, (-1.2,)))
+        chain = MeasurementChain((first, second), plus)
+        for x1 in (-1.2, -10.0, -100.0):
+            assert forward_stats(plus, first, second, x1).extracted_system_variance == 0.25
+            assert conditional_stats_k(chain, ChainQuery(2, (x1,))).extracted_variance == 0.25
 
 
 class TestConditionalDensityK:
@@ -149,8 +154,14 @@ class TestConditionalDensityK:
             assert abs(result.extracted_variance - expected) < 1e-3
 
     def test_far_fixed_outcome_rejected(self, listing_chain):
-        with pytest.raises(ZeroLikelihood):
-            conditional_stats_k(listing_chain, ChainQuery(2, (40.0, 0.1, -0.4)))
+        # an outcome 79 widths past every eigenvalue answers, as the dense reference does
+        fixed = (40.0, 0.1, -0.4)
+        result = conditional_stats_k(listing_chain, ChainQuery(2, fixed))
+        mats = [stage.observable.matrix for stage in listing_chain.stages]
+        sigmas = [stage.sigma for stage in listing_chain.stages]
+        mean, variance = dense_kraus_reference(mats, sigmas, listing_chain.initial_state.matrix, 1, fixed)
+        assert abs(result.mean - mean) < 1e-12
+        assert abs(result.variance - variance) < 1e-12
 
     def test_order_sensitivity_witness(self, plus):
         forward_order = MeasurementChain(
@@ -211,6 +222,70 @@ class TestConditionalDensityK:
         result = conditional_stats_k(chain, ChainQuery(4, tuple(rng.uniform(-1, 1, size=5))))
         assert np.isfinite(result.mean)
         assert result.variance > 0.0
+
+
+class TestImprobableRecords:
+    """Records whose likelihood underflows a double still answer: every fold renormalizes."""
+
+    def test_alternating_record_collapses_to_up(self, plus):
+        # ten S_z stages at sigma = 0.05 on |+>, outcomes alternating +1/2, -1/2
+        # with one more +1/2: each outcome shrinks the likelihood by about e^-200,
+        # and the posterior is the up state
+        chain = MeasurementChain(tuple(MeasurementStage(spin.s_z(), Pointer(0.05)) for _ in range(10)), plus)
+        result = conditional_stats_k(chain, ChainQuery(10, (0.5, -0.5) * 4 + (0.5,)))
+        assert result.mean == 0.5
+        assert result.extracted_variance == 0.0
+
+    def test_fold_selecting_a_rare_direction(self, rng):
+        # the first outcome selects an eigenvector of population about 1e-8:
+        # the fold scales the rounding of the basis change before it by 1e8,
+        # and the state still collapses onto that eigenvector
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            first = Observable.from_spectrum([-1.0, 0.0, 1.0], q)
+            psi = q[:, 1] + 1e-4 * q[:, 0]
+            second = random_observable(rng, 3)
+            chain = MeasurementChain(
+                (MeasurementStage(first, Pointer(0.1)), MeasurementStage(second, Pointer(0.5))),
+                DensityMatrix.pure(psi / np.linalg.norm(psi)),
+            )
+            result = conditional_stats_k(chain, ChainQuery(2, (-1.5,)))
+            v = first.eigenvectors[:, 0]
+            mean = np.vdot(v, second.matrix @ v).real
+            variance = np.vdot(v, second.matrix @ second.matrix @ v).real - mean**2
+            assert abs(result.mean - mean) < 1e-12
+            assert abs(result.extracted_variance - variance) < 1e-12
+
+    def test_random_far_records_match_dense_reference(self, rng):
+        # 40% of the fixed outcomes lie 12-40 widths past an eigenvalue of their stage
+        answered = 0
+        for _ in range(100):
+            dim, n = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+            mats = [random_observable(rng, dim).matrix for _ in range(n)]
+            sigmas = np.exp(rng.uniform(np.log(0.1), np.log(2.0), n)).tolist()
+            rho = random_density(rng, dim)
+            free = int(rng.integers(n))
+            fixed = []
+            for j in range(n):
+                if j != free:
+                    level = rng.choice(np.linalg.eigvalsh(mats[j]))
+                    far = rng.random() < 0.4
+                    offset = rng.choice([-1.0, 1.0]) * rng.uniform(12.0, 40.0) if far else rng.standard_normal()
+                    fixed.append(float(level + offset * sigmas[j]))
+            chain = MeasurementChain(
+                tuple(MeasurementStage(Observable.from_matrix(a), Pointer(s)) for a, s in zip(mats, sigmas)), rho
+            )
+            mean, variance = dense_kraus_reference(mats, sigmas, rho.matrix, free, fixed)
+            try:
+                result = conditional_stats_k(chain, ChainQuery(free + 1, tuple(fixed)))
+            except VarianceInconsistency:
+                # the weak-value regime: the reference's extracted variance is negative too
+                assert variance - sigmas[free] ** 2 < -1e-9 + 1e-12 * max(1.0, abs(variance))
+                continue
+            assert abs(result.mean - mean) / max(1.0, abs(mean)) < 1e-12
+            assert abs(result.variance - variance) / max(1.0, abs(variance)) < 1e-12
+            answered += 1
+        assert answered >= 90
 
 
 class TestValidation:

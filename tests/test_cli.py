@@ -36,8 +36,9 @@ from seqmeas.errors import (
     FirstFailure,
     SeqMeasError,
     VarianceInconsistency,
-    ZeroLikelihood,
 )
+
+from reference import dense_kraus_reference
 
 REPO = Path(__file__).resolve().parent.parent
 CHAIN4 = REPO / "configs" / "chain4.json"
@@ -329,11 +330,11 @@ class TestSweepFailures:
     @pytest.mark.parametrize(
         "base,lo,hi,steps,error",
         [
-            # a forward query crosses the outcome cutoff at row 9
-            (FORWARD_CHAIN4, -2.0, 10.0, 13, ZeroLikelihood),
+            # a forward query sweeps its second stage's outcome out to 19 widths past an eigenvalue: every row answers
+            (FORWARD_CHAIN4, -2.0, 10.0, 13, None),
             # a post-selected query turns its extracted variance negative at row 12
             (json.loads(CHAIN4.read_text()), -1.0, 1.0, 21, VarianceInconsistency),
-            # the clamp fails at row 2 and the cutoff from row 8: the earlier row wins
+            # the clamp fails at row 2, before the far rows
             (json.loads(CHAIN4.read_text()), -1.0, 10.0, 12, VarianceInconsistency),
         ],
     )
@@ -342,12 +343,21 @@ class TestSweepFailures:
         values = np.linspace(lo, hi, steps)
         chain, query, _ = parse_chain_config(base)
         failed = None
+        answers = []
         for i, value in enumerate(values.tolist()):
             try:
-                conditional_stats_k(*swept_case(chain, query, path, value))
+                result = conditional_stats_k(*swept_case(chain, query, path, value))
             except SeqMeasError as exc:
                 failed = (i, type(exc))
                 break
+            answers.append(cells_of(value, result.mean, result.variance, result.extracted_variance))
+        payload = dict(base, sweep={"path": path, "min": lo, "max": hi, "steps": steps})
+        if error is None:
+            assert failed is None
+            code, out, _ = run_cli(capsys, "chain", write_config(tmp_path, payload))
+            assert code == 0
+            assert csv_cells(out) == answers
+            return
         assert failed is not None and failed[1] is error and failed[0] > 0
 
         fixed = np.repeat([query.fixed_outcomes], steps, axis=0)
@@ -359,7 +369,6 @@ class TestSweepFailures:
             rows.raise_first()
         assert info.value.row == failed[0]
 
-        payload = dict(base, sweep={"path": path, "min": lo, "max": hi, "steps": steps})
         code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
         assert code == 1
         assert out == ""
@@ -594,40 +603,6 @@ def encode(matrix, encoding):
         [z.real if i == j else [z.real, z.imag] for j, z in enumerate(row)]
         for i, row in enumerate(matrix.tolist())
     ]
-
-
-def dense_kraus_reference(mats, sigmas, rho, free, fixed):
-    """(mean, variance) of the free outcome: p(y) proportional to Tr[E K(y) rho K(y)^dagger].
-
-    ``rho`` and ``E`` are plain products of dense Kraus matrices
-    ``K(x) = sum_a exp(-(x - a)^2 / 4 sigma^2) P_a``, renormalized at each
-    stage; the density is tabulated on a grid of step sigma/8 over the
-    spectrum plus twelve sigma each side, where the sums are exact to
-    rounding for these Gaussian integrands.
-    """
-
-    def kraus(a, sigma, xs):
-        lam, v = np.linalg.eigh(a)
-        weights = np.exp(-((np.atleast_1d(xs)[:, None] - lam) ** 2) / (4.0 * sigma * sigma))
-        return (v * weights[:, None, :]) @ v.conj().T
-
-    outcomes = list(fixed[:free]) + [None] + list(fixed[free:])
-    for a, sigma, x in zip(mats[:free], sigmas[:free], outcomes[:free]):
-        k = kraus(a, sigma, x)[0]
-        rho = k @ rho @ k.conj().T
-        rho = rho / np.trace(rho).real
-    effect = np.eye(len(rho), dtype=complex)
-    for a, sigma, x in reversed(list(zip(mats[free + 1 :], sigmas[free + 1 :], outcomes[free + 1 :]))):
-        k = kraus(a, sigma, x)[0]
-        effect = k.conj().T @ effect @ k
-        effect = effect / np.trace(effect).real
-    a, sigma = mats[free], sigmas[free]
-    lam = np.linalg.eigvalsh(a)
-    grid = np.arange(lam.min() - 12.0 * sigma, lam.max() + 12.0 * sigma, sigma / 8.0)
-    k = kraus(a, sigma, grid)
-    density = np.einsum("gij,jk,glk,li->g", k, rho, k.conj(), effect).real
-    mean = float((grid * density).sum() / density.sum())
-    return mean, float(((grid - mean) ** 2 * density).sum() / density.sum())
 
 
 class TestComplexObservableConfigs:

@@ -205,7 +205,7 @@ class TestExtractedClampPolicy:
 
 
 class TestBayesConsistency:
-    def test_pointwise(self, rng):
+    def test_pointwise(self, rng, spectral_projectors):
         for _ in range(15):
             dim = int(rng.integers(2, 4))
             rho = random_density(rng, dim)
@@ -214,7 +214,7 @@ class TestBayesConsistency:
             x1, x2 = rng.uniform(-1.5, 1.5, size=2)
             p_x1 = conditional_state(rho, s1, x1).trace
             rho1 = post_first_state(rho, s1)
-            w = np.einsum("gij,ji->g", s2.observable.projectors, rho1.matrix).real
+            w = np.einsum("gij,ji->g", spectral_projectors(s2.observable), rho1.matrix).real
             pdf2 = (2 * np.pi * s2.sigma**2) ** -0.5 * np.exp(
                 -((x2 - s2.observable.levels) ** 2) / (2 * s2.sigma**2)
             )

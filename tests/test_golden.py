@@ -33,6 +33,10 @@ CHAIN4 = REPO / "configs" / "chain4.json"
 # the four-stage qutrit chain of test_cli.QUTRIT_CHAIN, mid free index,
 # swept over its second fixed outcome
 QUTRIT_SWEEP = GOLDEN / "qutrit_sweep.json"
+# ten S_z stages at sigma = 0.05 on |+>, outcomes alternating +1/2, -1/2: a
+# record whose likelihood (about e^-800) underflows a double; the answer
+# is the up state, mean 1/2 and extracted variance 0
+UNDERFLOW10 = GOLDEN / "underflow10.json"
 
 CASES = {
     "fig2": ("fig2",),
@@ -41,6 +45,7 @@ CASES = {
     "chain4": ("chain", CHAIN4),
     "chain4_oracles": ("chain", CHAIN4, "--with-oracles", "--seed", "1", "--mc-samples", "20000"),
     "qutrit_sweep": ("chain", QUTRIT_SWEEP),
+    "underflow10": ("chain", UNDERFLOW10),
 }
 CELL_RTOL = 1e-12
 CELL_ATOL = 1e-12

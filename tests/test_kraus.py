@@ -12,7 +12,9 @@ from seqmeas import (
     kraus_at,
 )
 from seqmeas import spin
-from seqmeas.validate import random_observable
+from seqmeas.kraus import fold
+from seqmeas.pointer import log_amplitude_at
+from seqmeas.validate import random_density, random_observable
 
 
 @pytest.fixture
@@ -92,6 +94,42 @@ class TestEffectAt:
             eigs = np.linalg.eigvalsh(e)
             assert eigs.min() >= -1e-14
             assert eigs.max() <= (2 * np.pi * sigma**2) ** -0.5 + 1e-12
+
+
+class TestFold:
+    """The eigenbasis fold is the dense product ``K rho K`` with ``K = sum_g w_g P_g``."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-0.5, 0.5],
+            [1.0, 1.0, 3.0],
+            [-1.0, 0.5, 0.5, 0.5],
+            [-2.0, -2.0, 1.0, 1.0],
+            # near-degenerate: gaps at most 1e-9 merge into one level
+            [0.0, 4e-10, 8e-10, 1.0],
+            [0.3, 0.3 + 1e-12, 2.0, 2.0 + 5e-10],
+        ],
+    )
+    def test_equals_dense_projector_product(self, rng, spectral_projectors, values):
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.normal(size=(len(values),) * 2) + 1j * rng.normal(size=(len(values),) * 2))
+            obs = Observable.from_spectrum(values, q)
+            projectors = spectral_projectors(obs)
+            rho = random_density(rng, obs.dim).matrix
+            sigmas = rng.uniform(0.1, 2.0, 4)
+            xs = rng.uniform(-3.0, 3.0, 4)
+            v = obs.eigenvectors
+            folded, log_scale = fold(obs, sigmas, xs, v.conj().T @ rho @ v, np.zeros(1))
+            for f, s, sigma, x in zip(folded, log_scale, sigmas, xs):
+                w = np.exp(log_amplitude_at(sigma, x, obs.levels))
+                k = np.einsum("g,gij->ij", w, projectors)
+                dense = k @ rho @ k
+                got = np.exp(s) * (v @ f @ v.conj().T)
+                assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+                # the largest folded diagonal entry is one, up to the rounding of log weights
+                # of magnitude up to about 1e3
+                assert abs(np.diagonal(f).real.max() - 1.0) < 1e-12
 
 
 class TestCompleteness:
