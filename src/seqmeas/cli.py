@@ -423,18 +423,24 @@ def _row_case(chain: MeasurementChain, query: ChainQuery, sweep: Sweep | None, v
 
 
 def cmd_chain(args) -> int:
+    # one read, parsed and hashed: the hash is what `sha256sum` prints. Strict
+    # UTF-8 leaves a BOM for the decoder to report, and bytes keep CRLF lines
+    # untranslated, which leaves error columns as for LF.
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        with open(args.config, "rb") as fh:
+            data = fh.read()
+        payload = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{args.config}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigParseError(f"{args.config}: JSON nested too deeply to decode") from exc
 
     chain, query, sweep = parse_chain_config(payload)
-    config_hash = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()[:16]
+    config_hash = hashlib.sha256(data).hexdigest()[:16]
 
     fixed, sigmas = one_row(chain, query.fixed_outcomes)
     values = None

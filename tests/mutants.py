@@ -65,6 +65,30 @@ CATALOGUE = (
         "top = (logs + 0.5 * np.log(np.maximum(diagonal, 1e-300))).max(axis=-1)",
         "top = logs.max(axis=-1)",
     ),
+    (
+        "jackknife-se-tripled",
+        "src/seqmeas/oracle.py",
+        "    return float(variance), se\n",
+        "    return float(variance), 3.0 * se\n",
+    ),
+    (
+        "coefficients-not-transposed",
+        "src/seqmeas/chain.py",
+        "coeffs = rho[:n] * effect.swapaxes(-1, -2)",
+        "coeffs = rho[:n] * effect",
+    ),
+    (
+        "config-observable-conjugated",
+        "src/seqmeas/cli.py",
+        "        if matrix is not None and np.isfinite(matrix).all():\n            return matrix\n",
+        "        if matrix is not None and np.isfinite(matrix).all():\n            return matrix.conj()\n",
+    ),
+    (
+        "config-observable-transposed",
+        "src/seqmeas/cli.py",
+        "        if matrix is not None and np.isfinite(matrix).all():\n            return matrix\n",
+        "        if matrix is not None and np.isfinite(matrix).all():\n            return matrix.T\n",
+    ),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", "_work", "_out")

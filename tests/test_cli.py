@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -153,7 +154,22 @@ class TestChainCommand:
         assert header == ["mean", "variance", "extracted_variance"]
         assert len(rows) == 1
         assert abs(rows[0][1] - 0.2581876633529906) < 1e-12
-        assert any("config-sha256" in m for m in meta)
+        # the file's own bytes, as `sha256sum configs/chain4.json | cut -c1-16` prints
+        assert f"# config-sha256: {hashlib.sha256(CHAIN4.read_bytes()).hexdigest()[:16]}" in meta
+
+    def test_hash_follows_bytes_not_payload(self, capsys, tmp_path):
+        payload = json.loads(CHAIN4.read_text())
+        outputs = []
+        for indent in (None, 4):
+            cfg = tmp_path / f"indent{indent}.json"
+            cfg.write_text(json.dumps(payload, indent=indent))
+            code, out, _ = run_cli(capsys, "chain", str(cfg))
+            assert code == 0
+            outputs.append(out.replace(str(cfg), "<config>").splitlines())
+        a, b = outputs
+        assert len(a) == len(b)
+        # only the hash line differs; every data row is byte-identical
+        assert [x.split(": ")[0] for x, y in zip(a, b) if x != y] == ["# config-sha256"]
 
     def test_with_oracles_columns(self, capsys, tmp_path):
         out_path = tmp_path / "chain.csv"
@@ -873,3 +889,48 @@ class TestGridLimits:
         code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
         assert (code, out) == (2, "")
         assert err == f"error: steps = {10**400} is beyond the largest array numpy can build\n"
+
+
+class TestConfigIntake:
+    """Whatever bytes the config file holds, `chain` answers or exits 2 with one `error: ...` line."""
+
+    def run_bytes(self, capsys, tmp_path, data: bytes):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        code, out, err = run_cli(capsys, "chain", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        return str(cfg), err
+
+    def test_invalid_utf8(self, capsys, tmp_path):
+        data = CHAIN4.read_bytes().rstrip()
+        path, err = self.run_bytes(capsys, tmp_path, data[:-1] + b"\xff}")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff in position ")
+
+    @pytest.mark.parametrize("depth", [1000, 100_000])
+    def test_nesting_too_deep_for_the_decoder(self, capsys, tmp_path, depth):
+        path, err = self.run_bytes(capsys, tmp_path, b"[" * depth)
+        assert err == f"error: {path}: JSON nested too deeply to decode\n"
+
+    def test_deep_matrix_entry_in_a_valid_config(self, capsys, tmp_path):
+        entry = "[" * 1000 + "0.5" + "]" * 1000
+        text = CHAIN4.read_text().replace('"Sz"', f"[[{entry}, 0], [0, -0.5]]", 1)
+        path, err = self.run_bytes(capsys, tmp_path, text.encode())
+        assert err == f"error: {path}: JSON nested too deeply to decode\n"
+
+    def test_utf8_bom(self, capsys, tmp_path):
+        path, err = self.run_bytes(capsys, tmp_path, b"\xef\xbb\xbf" + CHAIN4.read_bytes())
+        assert err == f"error: {path}:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+
+    def test_crlf_error_position_matches_lf(self, capsys, tmp_path):
+        text = '{\n  "dim": 2,\n  "stages": [1,\n    2,, 3]\n}\n'
+        errors = []
+        for newline in ("\n", "\r\n"):
+            path, err = self.run_bytes(capsys, tmp_path, text.replace("\n", newline).encode())
+            errors.append(err.replace(path, "<config>"))
+        assert errors == ["error: <config>:4:7: Expecting value\n"] * 2
+
+    def test_unreadable_path(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "chain", str(tmp_path / "missing.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config: ")
