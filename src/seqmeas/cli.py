@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__, spin
 from .chain import ChainQuery, MeasurementChain, conditional_stats_rows, one_row
-from .conditional import backward_stats_rows, forward_stats_rows
+from .conditional import two_stage_rows
 from .core import DensityMatrix, Observable
 from .errors import ConfigParseError, FirstFailure, InvalidRange, SeqMeasError
 from .joint import backaction_variance_rows
@@ -152,8 +153,8 @@ def cmd_fig3(args) -> int:
     x1, s1 = _outer_grid(x1_grid, s1_grid)
 
     def engine(r):
-        s2 = np.full(x1.size, sigma2)
-        return forward_stats_rows(rho0, sz, s1, sx, s2, x1, r).extracted_system_variance
+        sigmas = np.stack((s1, np.full(x1.size, sigma2)), axis=-1)
+        return two_stage_rows(rho0, (sz, sx), 2, x1, sigmas, r).extracted_system_variance
 
     values = _sweep_rows(
         x1.size,
@@ -179,8 +180,8 @@ def cmd_fig4(args) -> int:
     x2, s2 = _outer_grid(x2_grid, s2_grid)
 
     def engine(r):
-        s1 = np.full(x2.size, sigma1)
-        return backward_stats_rows(rho0, sz, s1, sx, s2, x2, r).extracted_system_variance
+        sigmas = np.stack((np.full(x2.size, sigma1), s2), axis=-1)
+        return two_stage_rows(rho0, (sz, sx), 1, x2, sigmas, r).extracted_system_variance
 
     values = _sweep_rows(
         x2.size,
@@ -204,19 +205,25 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    # a config value in a diagnostic: its repr, elided past a few levels,
+    # entries or dozens of characters, so one bad value gives a short line
+    return reprlib.repr(value)
+
+
 def _number(value, path: str, expected: str = "a number") -> float:
     """A config number as a finite float, else a :class:`ConfigParseError` naming ``path``.
 
     Python's ``json`` reads ``NaN``, ``Infinity`` and integers beyond float range.
     """
     if not _is_number(value):
-        raise ConfigParseError(f"{path}: expected {expected}, got {value!r}")
+        raise ConfigParseError(f"{path}: expected {expected}, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:
         raise ConfigParseError(f"{path}: integer out of float range") from None
     if not math.isfinite(number):
-        raise ConfigParseError(f"{path}: expected a finite number, got {number!r}")
+        raise ConfigParseError(f"{path}: expected a finite number, got {_shown(number)}")
     return number
 
 
@@ -225,7 +232,7 @@ def _parse_complex_entry(entry, path: str) -> complex:
         return complex(_number(entry, path))
     if isinstance(entry, list) and len(entry) == 2 and all(_is_number(v) for v in entry):
         return complex(_number(entry[0], path), _number(entry[1], path))
-    raise ConfigParseError(f"{path}: expected a number or [re, im] pair, got {entry!r}")
+    raise ConfigParseError(f"{path}: expected a number or [re, im] pair, got {_shown(entry)}")
 
 
 _NUMBER_TYPES = {int, float}
@@ -271,7 +278,7 @@ def _preset_observable(name: str, dim: int, path: str) -> Observable:
     elif name == "Sx":
         preset = spin.s_x()
     else:
-        raise ConfigParseError(f"{path}: unknown observable preset {name!r} (use Sz, Sx or a matrix)")
+        raise ConfigParseError(f"{path}: unknown observable preset {_shown(name)} (use Sz, Sx or a matrix)")
     if dim != 2:
         raise ConfigParseError(f"{path}: preset {name!r} is 2-dimensional, config dim is {dim}")
     return preset
@@ -281,7 +288,7 @@ def _parse_initial_state(obj, dim: int, path: str) -> DensityMatrix:
     if isinstance(obj, str):
         if obj not in STATE_PRESETS:
             raise ConfigParseError(
-                f"{path}: unknown state preset {obj!r} (use {sorted(STATE_PRESETS)} or a matrix)"
+                f"{path}: unknown state preset {_shown(obj)} (use {sorted(STATE_PRESETS)} or a matrix)"
             )
         if dim != 2:
             raise ConfigParseError(f"{path}: preset {obj!r} is 2-dimensional, config dim is {dim}")
@@ -332,7 +339,7 @@ def _parse_sweep(sweep, n_stages: int, n_fixed: int) -> Sweep:
             break
     else:
         raise ConfigParseError(
-            f"sweep.path: unsupported path {path!r}; use query.fixed_outcomes.<i> "
+            f"sweep.path: unsupported path {_shown(path)}; use query.fixed_outcomes.<i> "
             f"(0 <= i < {n_fixed}) or stages.<i>.sigma (0 <= i < {n_stages})"
         )
     for key in ("min", "max"):
@@ -346,7 +353,7 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Swe
         raise ConfigParseError("top level: expected an object")
     dim = _require_key(payload, "dim", "top level")
     if not isinstance(dim, int) or dim < 2:
-        raise ConfigParseError(f"dim: expected an integer >= 2, got {dim!r}")
+        raise ConfigParseError(f"dim: expected an integer >= 2, got {_shown(dim)}")
     initial = _parse_initial_state(_require_key(payload, "initial_state", "top level"), dim, "initial_state")
     stages_cfg = _require_key(payload, "stages", "top level")
     if not isinstance(stages_cfg, list) or not stages_cfg:
@@ -377,7 +384,7 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Swe
             raw = _require_key(stage_cfg, "sigma", path)
             sigma = _number(raw, f"{path}.sigma", "a positive number")
             if sigma <= 0:
-                raise ConfigParseError(f"{path}.sigma: expected a positive number, got {raw!r}")
+                raise ConfigParseError(f"{path}.sigma: expected a positive number, got {_shown(raw)}")
         except ConfigParseError:
             build_matrices()
             raise
@@ -393,7 +400,7 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Swe
     free_index = _require_key(query_cfg, "free_index", "query")
     fixed = _require_key(query_cfg, "fixed_outcomes", "query")
     if not isinstance(free_index, int) or isinstance(free_index, bool):
-        raise ConfigParseError(f"query.free_index: expected an integer, got {free_index!r}")
+        raise ConfigParseError(f"query.free_index: expected an integer, got {_shown(free_index)}")
     if not isinstance(fixed, list) or not all(_is_number(v) for v in fixed):
         raise ConfigParseError("query.fixed_outcomes: expected an array of numbers")
     chain = MeasurementChain(tuple(stages), initial)

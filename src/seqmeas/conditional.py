@@ -4,15 +4,17 @@ Conditioning runs both ways. The recorded first outcome reshapes the
 second pointer's distribution (causal backaction); conditioning on the
 second outcome reshapes the statistics of the already-recorded first one
 (noncausal backaction). Each is a 2-stage chain query on the engine of
-:mod:`seqmeas.chain` (free index 2 forward, 1 backward). Both conditional
-densities are Gaussian pair sums
-in the free outcome, so their means and variances are closed-form;
-numerical quadrature enters only as an independent oracle.
+:mod:`seqmeas.chain`, free index 2 forward and 1 backward, run for a
+batch of rows by one core (:func:`two_stage_rows`). Both conditional
+densities are Gaussian pair sums in the free outcome, so their means and
+variances are closed-form; numerical quadrature enters only as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -54,21 +56,50 @@ def _first_row(stats: ConditionalStats) -> ConditionalStats:
     )
 
 
-def _numerator(rho0, obs1, sigma1, obs2, sigma2, free_index, outcome, rows: FirstFailure):
-    # the 2-stage chain numerator with the other stage's outcome fixed
-    require_same_dim(obs1.dim, obs2.dim, rho0.dim)
-    sigmas = np.stack((sigma1, sigma2), axis=-1)
-    return numerator_rows(rho0, (obs1, obs2), free_index, outcome[:, None], sigmas, rows)
+#: Direction and ZeroLikelihood label of the 2-stage query with each free index
+DIRECTIONS = {2: ("forward", "density"), 1: ("backward", "backward")}
 
 
-def _density(rho0, stage1, stage2, free_index, outcome, direction, label) -> ConditionalDensity:
-    rows = FirstFailure(1)
-    coeffs, centers_a, centers_b, sigma = _numerator(
-        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
-        free_index, _one(outcome), rows,
+def two_stage_rows(
+    rho0: DensityMatrix,
+    observables: Sequence[Observable],
+    free_index: int,
+    outcome: np.ndarray,
+    sigmas: np.ndarray,
+    rows: FirstFailure,
+    moments: bool = True,
+):
+    """The 2-stage chain query for ``B`` rows of (other stage's outcome, both widths).
+
+    Free index 2 is the forward query (the second outcome given the first),
+    1 the backward one. ``outcome`` is ``(B,)`` and ``sigmas`` ``(B, 2)``;
+    widths must be finite and positive, as :class:`Pointer` enforces.
+    Returns the :class:`ConditionalStats` of the live rows of ``rows``, or
+    with ``moments=False`` the numerator of
+    :func:`~seqmeas.chain.numerator_rows`; the caller raises
+    :meth:`FirstFailure.raise_first`.
+    """
+    require_same_dim(observables[0].dim, observables[1].dim, rho0.dim)
+    numerator = numerator_rows(rho0, observables, free_index, outcome[:, None], sigmas, rows)
+    if not moments:
+        return numerator
+    return pair_rows_moments(*numerator, rows, DIRECTIONS[free_index][1])[1]
+
+
+def _one_row(rho0, stage1, stage2, free_index, outcome, rows, moments=True):
+    # the rows core on one record of the two stages' widths
+    sigmas = np.array([[stage1.sigma, stage2.sigma]])
+    return two_stage_rows(
+        rho0, (stage1.observable, stage2.observable), free_index, _one(outcome), sigmas, rows, moments
     )
+
+
+def _density(rho0, stage1, stage2, free_index, outcome) -> ConditionalDensity:
+    rows = FirstFailure(1)
+    coeffs, centers_a, centers_b, sigma = _one_row(rho0, stage1, stage2, free_index, outcome, rows, moments=False)
     numerator = GaussianPairSum(coeffs[0], centers_a, centers_b, float(sigma[0]))
     norm = numerator.moment(0)
+    direction, label = DIRECTIONS[free_index]
     check_normalization(_one(norm), rows, label)
     return ConditionalDensity(direction, float(outcome), numerator, norm)
 
@@ -113,26 +144,7 @@ def forward_density(
     ZeroLikelihood
         If the conditioning outcome has vanishing marginal likelihood.
     """
-    return _density(rho0, stage1, stage2, 2, x1, "forward", "density")
-
-
-def forward_stats_rows(
-    rho0: DensityMatrix,
-    obs1: Observable,
-    sigma1: np.ndarray,
-    obs2: Observable,
-    sigma2: np.ndarray,
-    x1: np.ndarray,
-    rows: FirstFailure,
-) -> ConditionalStats:
-    """:func:`forward_stats` for ``B`` rows of (first width, second width, first outcome).
-
-    Widths must be finite and positive, as :class:`Pointer` enforces.
-    Returns array fields over the live rows of ``rows``; the caller raises
-    :meth:`FirstFailure.raise_first`.
-    """
-    numerator = _numerator(rho0, obs1, sigma1, obs2, sigma2, 2, x1, rows)
-    return pair_rows_moments(*numerator, rows, "density")[1]
+    return _density(rho0, stage1, stage2, 2, x1)
 
 
 def forward_stats(
@@ -146,10 +158,7 @@ def forward_stats(
     The extracted part is the variance of the second observable conditioned
     on the first measurement's presence and outcome.
     """
-    return _first_row(forward_stats_rows(
-        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
-        _one(x1), FirstFailure(1),
-    ))
+    return _first_row(_one_row(rho0, stage1, stage2, 2, x1, FirstFailure(1)))
 
 
 def backward_density(
@@ -164,26 +173,7 @@ def backward_density(
     ``Tr[rho_bar_1(x1) E(x2)]``, with coefficients ``rho * E^T`` in the
     first observable's eigenbasis (:func:`~seqmeas.chain.numerator_rows`).
     """
-    return _density(rho0, stage1, stage2, 1, x2, "backward", "backward")
-
-
-def backward_stats_rows(
-    rho0: DensityMatrix,
-    obs1: Observable,
-    sigma1: np.ndarray,
-    obs2: Observable,
-    sigma2: np.ndarray,
-    x2: np.ndarray,
-    rows: FirstFailure,
-) -> ConditionalStats:
-    """:func:`backward_stats` for ``B`` rows of (first width, second width, second outcome).
-
-    Widths must be finite and positive, as :class:`Pointer` enforces.
-    Returns array fields over the live rows of ``rows``; the caller raises
-    :meth:`FirstFailure.raise_first`.
-    """
-    numerator = _numerator(rho0, obs1, sigma1, obs2, sigma2, 1, x2, rows)
-    return pair_rows_moments(*numerator, rows, "backward")[1]
+    return _density(rho0, stage1, stage2, 1, x2)
 
 
 def backward_stats(
@@ -193,7 +183,4 @@ def backward_stats(
     x2: float,
 ) -> ConditionalStats:
     """Conditional mean/variance of the first outcome given the second."""
-    return _first_row(backward_stats_rows(
-        rho0, stage1.observable, _one(stage1.sigma), stage2.observable, _one(stage2.sigma),
-        _one(x2), FirstFailure(1),
-    ))
+    return _first_row(_one_row(rho0, stage1, stage2, 1, x2, FirstFailure(1)))

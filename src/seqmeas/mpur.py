@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import numerator_rows, pair_rows_moments
+from .chain import pair_rows_moments
+from .conditional import DIRECTIONS, two_stage_rows
 from .core import DensityMatrix, Observable, PureState, require_same_dim, unit_amplitudes
 from .errors import DegenerateDirection, FirstFailure, NotOrthogonal, SeqMeasError
 from .kraus import MeasurementStage
@@ -218,8 +219,9 @@ def conditional_mpur_sum(
     observables, sigmas = (stage1.observable, stage2.observable), np.array([[stage1.sigma, stage2.sigma]])
 
     def numerator(free_index, outcome):
-        fixed = np.array([[outcome]], dtype=float)
-        return numerator_rows(rho0, observables, free_index, fixed, sigmas, FirstFailure(1))
+        return two_stage_rows(
+            rho0, observables, free_index, np.array([outcome], dtype=float), sigmas, FirstFailure(1), moments=False
+        )
 
     # a forward numerator error raises at once; a backward one is row 1's
     # and waits for the forward moment checks
@@ -231,7 +233,7 @@ def conditional_mpur_sum(
     coeffs, centers_a, centers_b, sigma = zip(*parts)
     _, stats = pair_rows_moments(
         np.concatenate(coeffs), np.stack(centers_a), np.stack(centers_b), np.concatenate(sigma),
-        rows, ("density", "backward"),
+        rows, (DIRECTIONS[2][1], DIRECTIONS[1][1]),
     )
     rows.raise_first()
     forward, backward = stats.extracted_system_variance.tolist()

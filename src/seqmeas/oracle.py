@@ -235,9 +235,10 @@ def quad_pair_sum_stats(
     return norm, mean, second / norm - mean * mean
 
 
-def _pick_components(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
-    # weights has one row per component and one column per sample; it need
-    # not be normalized, since draws are scaled by the column totals
+def _pick_components(rng: np.random.Generator, weights: np.ndarray, count: int | None = None) -> np.ndarray:
+    # weights has one row per component and one column per sample, or one
+    # column shared by all ``count`` samples; it need not be normalized,
+    # since draws are scaled by the column totals
     bounds = [weights[0]]
     for row in weights[1:]:
         bounds.append(bounds[-1] + row)
@@ -246,10 +247,11 @@ def _pick_components(rng: np.random.Generator, weights: np.ndarray) -> np.ndarra
     if bad.any():
         k = int(np.argmax(bad))
         raise ZeroLikelihood(f"level weights of sample {k} sum to {float(totals[k])!r}")
-    draws = rng.random(totals.size) * totals
+    count = totals.size if count is None else count
+    draws = rng.random(count) * totals
     if len(bounds) == 1:
         return (draws >= bounds[0]).astype(np.intp)
-    comp = np.zeros(totals.size, dtype=np.intp)
+    comp = np.zeros(count, dtype=np.intp)
     for bound in bounds:
         comp += bound < draws
     return comp
@@ -304,67 +306,30 @@ def _amplitudes(x: np.ndarray, stage: MeasurementStage) -> np.ndarray:
     return np.exp(-((x[None, :] - eigenvalues[:, None]) ** 2) / (4.0 * stage.sigma**2))
 
 
-def _sample_two_stage(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
-    # after one Kraus update the state is rho * (w w^T) elementwise, so the
-    # second-stage level weights are a fixed quadratic form in w: one GEMM
-    # over the d(d+1)/2 distinct products w_p w_q
-    rng = make_rng(cfg)
-    n = cfg.samples
-    first, second = chain.stages
-    obs1, obs2 = first.observable, second.observable
-    v1 = obs1.eigenvectors
-    d = chain.dim
-    p, q = _pairs(d)
-    rho = _hermitian_coords(v1.conj().T @ chain.initial_state.normalized().matrix @ v1)
-    # folded kernel: an entry's real and imaginary coordinates share w_p w_q
-    kernel = _coord_rotation(v1.conj().T @ obs2.eigenvectors)[:d] * rho
-    kernel = np.concatenate([kernel[:, :d], kernel[:, d : p.size] + kernel[:, p.size :]], axis=1)
-
-    probs1 = _level_sums(np.clip(rho[:d, None], 0.0, None), obs1.level_of, obs1.levels.size)[:, 0]
-    probs1 /= probs1.sum()
-    cum1 = np.cumsum(probs1)
-    out = np.empty((n, 2))
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        count = stop - start
-        draws = rng.random(count)
-        # searchsorted(cum1, draws, "right") capped at the last level
-        comp = np.zeros(count, dtype=np.intp)
-        for bound in cum1[:-1]:
-            comp += bound <= draws
-        x1 = obs1.levels[comp] + first.sigma * rng.standard_normal(count)
-        out[start:stop, 0] = x1
-
-        w = _amplitudes(x1, first)
-        diag2 = kernel @ (w[p] * w[q])
-        probs2 = _level_sums(np.clip(diag2, 0.0, None), obs2.level_of, obs2.levels.size)
-        comp2 = _pick_components(rng, probs2)
-        out[start:stop, 1] = obs2.levels[comp2] + second.sigma * rng.standard_normal(count)
-    return out
-
-
 def sample_chain(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
     """Synthetic outcome records, one row per run of the whole chain.
 
     Each stage's outcome is drawn from the Gaussian mixture over the stage
-    observable's levels weighted by the current (normalized) conditional
-    state, after which the state is updated with the matching Kraus
-    operator. Fixed seeds reproduce records exactly.
+    observable's levels weighted by the current conditional state, after
+    which the state is updated with the matching Kraus operator. Fixed
+    seeds reproduce records exactly.
 
     Each sample's state is carried in the current stage's eigenbasis as its
     d^2 real Hermitian coordinates (see ``_hermitian_coords``). The Kraus
     update scales the coordinates of entry (p, q) by w_p w_q, the level
     probabilities are sums of the first d coordinates, and moving to the
-    next stage's eigenbasis is one real (d^2, d^2) GEMM. Two-stage chains
-    skip the per-sample state entirely.
+    next stage's eigenbasis is one real GEMM. Every sample starts from the
+    same state, so the first stage draws from one shared weight column and
+    its update folds into the first rotation: one GEMM over the d(d+1)/2
+    products w_p w_q. The last stage reads only populations, so the
+    rotation into it keeps d rows, and the state before it is not
+    renormalized, since the pick divides by the totals.
 
     Raises
     ------
     ZeroLikelihood
         If a sample's level weights sum to zero or to a non-finite value.
     """
-    if len(chain) == 2:
-        return _sample_two_stage(chain, cfg)
     rng = make_rng(cfg)
     n = cfg.samples
     stages = chain.stages
@@ -378,25 +343,37 @@ def sample_chain(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
         )
         for j in range(len(stages) - 1)
     ]
+    if rotations:
+        # the last stage reads only its populations, the first d coordinates
+        rotations[-1] = rotations[-1][:d]
+        # coords(R (rho0 * products)) = (R * rho0) @ products, where an
+        # entry's real and imaginary coordinates share w_p w_q
+        kernel = rotations[0] * rho0
+        rotations[0] = np.concatenate([kernel[:, :d], kernel[:, d : p.size] + kernel[:, p.size :]], axis=1)
     out = np.empty((n, len(stages)))
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         count = stop - start
-        # one column per sample
-        states = np.repeat(rho0[:, None], count, axis=1)
+        # one column shared by every sample until the first update
+        states = rho0[:, None]
         for j, stage in enumerate(stages):
             obs = stage.observable
             probs = _level_sums(np.clip(states[:d], 0.0, None), obs.level_of, obs.levels.size)
-            comp = _pick_components(rng, probs)
+            comp = _pick_components(rng, probs, count)
             x = obs.levels[comp] + stage.sigma * rng.standard_normal(count)
             out[start:stop, j] = x
             if j + 1 == len(stages):
                 break
             w = _amplitudes(x, stage)
             products = w[p] * w[q]
+            if j == 0:
+                # the first update is folded into rotations[0]
+                states = rotations[0] @ products
+                continue
             states[: p.size] *= products
             states[p.size :] *= products[d:]
-            states /= states[:d].sum(axis=0)
+            if j + 2 < len(stages):
+                states /= states[:d].sum(axis=0)
             states = rotations[j] @ states
     return out
 

@@ -89,6 +89,24 @@ CATALOGUE = (
         "        if matrix is not None and np.isfinite(matrix).all():\n            return matrix\n",
         "        if matrix is not None and np.isfinite(matrix).all():\n            return matrix.T\n",
     ),
+    (
+        "first-update-without-imaginary-half",
+        "src/seqmeas/oracle.py",
+        "np.concatenate([kernel[:, :d], kernel[:, d : p.size] + kernel[:, p.size :]], axis=1)",
+        "np.concatenate([kernel[:, :d], kernel[:, d : p.size]], axis=1)",
+    ),
+    (
+        "last-rotation-wrong-rows",
+        "src/seqmeas/oracle.py",
+        "rotations[-1] = rotations[-1][:d]",
+        "rotations[-1] = rotations[-1][-d:]",
+    ),
+    (
+        "fig4-forward-free-index",
+        "src/seqmeas/cli.py",
+        "two_stage_rows(rho0, (sz, sx), 1, x2, sigmas, r)",
+        "two_stage_rows(rho0, (sz, sx), 2, x2, sigmas, r)",
+    ),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", "_work", "_out")

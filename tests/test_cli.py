@@ -918,6 +918,20 @@ class TestConfigIntake:
         path, err = self.run_bytes(capsys, tmp_path, text.encode())
         assert err == f"error: {path}: JSON nested too deeply to decode\n"
 
+    @pytest.mark.parametrize(
+        "old,new,field",
+        [
+            ('"Sz"', "[[" + "[" * 900 + "0.5" + "]" * 900 + ", 0], [0, -0.5]]", "stages[0].observable[0][0]"),
+            ('"sigma": 0.5', '"sigma": ' + json.dumps([0.5] * 10_000), "stages[0].sigma"),
+            ('"Sz"', json.dumps("Sz" * 10_000), "stages[0].observable"),
+        ],
+        ids=["deep-matrix-entry", "long-sigma-list", "long-preset-name"],
+    )
+    def test_long_bad_value_is_elided(self, capsys, tmp_path, old, new, field):
+        text = CHAIN4.read_text().replace(old, new, 1)
+        _, err = self.run_bytes(capsys, tmp_path, text.encode())
+        assert err.startswith(f"error: {field}: ") and len(err.encode()) < 300
+
     def test_utf8_bom(self, capsys, tmp_path):
         path, err = self.run_bytes(capsys, tmp_path, b"\xef\xbb\xbf" + CHAIN4.read_bytes())
         assert err == f"error: {path}:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"

@@ -273,6 +273,11 @@ class TestSampleStream:
             seed = int(rng.integers(2**62))
             got = sample_chain(chain, SamplerConfig(samples=samples, seed=seed))
             assert np.array_equal(got, _reference_records(chain, samples, seed)), (t, dim, n_stages)
+        # a 1-stage chain spanning two chunks
+        chain = _random_chain(rng, 3, 1)
+        seed = int(rng.integers(2**62))
+        got = sample_chain(chain, SamplerConfig(samples=70_000, seed=seed))
+        assert np.array_equal(got, _reference_records(chain, 70_000, seed))
 
     def test_two_stage_shortcut_records(self):
         rng = np.random.default_rng(607)
@@ -282,6 +287,11 @@ class TestSampleStream:
             seed = int(rng.integers(2**62))
             got = sample_chain(chain, SamplerConfig(samples=5000, seed=seed))
             assert np.array_equal(got, _reference_records(chain, 5000, seed)), (t, dim)
+        # a chain spanning two chunks
+        chain = _random_chain(rng, 3, 2, degenerate=True)
+        seed = int(rng.integers(2**62))
+        got = sample_chain(chain, SamplerConfig(samples=70_000, seed=seed))
+        assert np.array_equal(got, _reference_records(chain, 70_000, seed))
 
 
 class TestPickComponents:
