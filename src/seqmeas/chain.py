@@ -10,15 +10,17 @@ free index 2 and 1.
 
 Each stage is folded in its own eigenbasis, where its Kraus operator is
 diagonal (:func:`~seqmeas.kraus.fold`), with one change of basis between
-consecutive stages. Every fold renormalizes, so the state and the effect
-stay O(1) however improbable the record; the dropped factors go into a
-log scale. The state and the effect meet in the free stage's eigenbasis.
+consecutive stages, a product with a ``(d^2, d^2)`` operator built once
+per query (:class:`Rotations`). Every fold renormalizes, so the state and
+the effect stay O(1) however improbable the record; the dropped factors
+go into a log scale. The state and the effect meet in the free stage's
+eigenbasis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,54 +152,76 @@ class ChainRows:
 
 def one_row(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """``(1, k)`` outcomes and ``(1, N)`` stage widths: one record for the ``*_rows`` functions."""
+    if len(outcomes) > len(chain):
+        raise ValueError(f"{len(outcomes)} outcomes for a {len(chain)}-stage chain")
     return (
         np.array(outcomes, dtype=float).reshape(1, len(outcomes)),
         np.array([[stage.sigma for stage in chain.stages]]),
     )
 
 
-def _change_basis(matrices: np.ndarray, v_from, v_to) -> np.ndarray:
-    # operators written in the orthonormal columns v_from, rewritten in v_to;
-    # None stands for the computational basis
-    if v_from is v_to:
-        return matrices
-    if v_from is None:
-        u = v_to
-    elif v_to is None:
-        u = v_from.conj().T
-    else:
-        u = v_from.conj().T @ v_to
-    return u.conj().T @ matrices @ u
+def rotation(v_from, v_to) -> np.ndarray:
+    """The ``(d^2, d^2)`` operator rewriting operators written in the orthonormal columns ``v_from`` in ``v_to``.
 
-
-def _fold_stages(matrices, log_scale, v, observables, outcomes, sigmas, basis):
-    # fold the stages in the order given, each in its own eigenbasis, from
-    # operators written in v; (B, k) outcomes and widths, one column per stage
-    for j, observable in enumerate(observables):
-        eigenbasis = observable.eigenvectors
-        matrices, log_scale = fold(
-            observable, sigmas[:, j], outcomes[:, j], _change_basis(matrices, v, eigenbasis), log_scale
-        )
-        v = eigenbasis
-    return _change_basis(matrices, v, basis), log_scale
-
-
-def chain_state_rows(
-    rho0: DensityMatrix, observables: Sequence[Observable], outcomes: np.ndarray, sigmas: np.ndarray, basis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked :func:`chain_state` fold for ``(B, k)`` outcomes and ``(B, N)`` widths.
-
-    ``observables`` are the N stages' observables. Returns ``(B, d, d)``
-    matrices written in the orthonormal columns ``basis`` (``None`` for the
-    computational basis) and ``(B,)`` log scales, or single broadcastable
-    ones when no stage is folded. Callers check the states.
+    ``vec(U^H M U) = vec(M) (conj(U) (x) U)`` with ``U = v_from^H v_to`` for row-major ``vec``; ``None``
+    stands for the computational basis.
     """
-    k = outcomes.shape[1]
-    if k > len(observables):
-        raise ValueError(f"{k} outcomes for a {len(observables)}-stage chain")
-    return _fold_stages(
-        rho0.matrix[None], np.array([rho0.log_scale]), None, observables[:k], outcomes, sigmas, basis
-    )
+    u = v_to if v_from is None else v_from.conj().T if v_to is None else v_from.conj().T @ v_to
+    return np.multiply.outer(u.conj(), u).swapaxes(1, 2).reshape(u.size, u.size)
+
+
+def _change_basis(matrices: np.ndarray, operator) -> np.ndarray:
+    # a (B, d, d) stack times a rotation operator (None: no change), one (1, d^2) @ (d^2, d^2)
+    # product per row: numpy hands a one-row (B, d^2) GEMM to gemv, whose last bits differ for
+    # d >= 3, and a row must read the same alone and in a batch
+    if operator is None:
+        return matrices
+    return (matrices.reshape(len(matrices), 1, -1) @ operator).reshape(matrices.shape)
+
+
+class Rotations(NamedTuple):
+    """A query's changes of basis, built once from its initial state and stage spectra (:meth:`of`).
+
+    ``state`` is the ``(1, d, d)`` initial state in the first stage's eigenbasis, with its ``(1,)`` log
+    scale; ``steps[j]`` rotates from stage ``j`` to ``j + 1`` (0-based) and ``backs[j]`` back, or is
+    ``None`` where the two stages share their eigenvectors.
+    """
+
+    observables: tuple[Observable, ...]
+    state: np.ndarray
+    log_scale: np.ndarray
+    steps: tuple[np.ndarray | None, ...]
+    backs: tuple[np.ndarray | None, ...]
+
+    @classmethod
+    def of(cls, rho0: DensityMatrix, observables: Sequence[Observable]) -> "Rotations":
+        bases = [observable.eigenvectors for observable in observables]
+        state = _change_basis(rho0.matrix[None], rotation(None, bases[0]))
+        steps = tuple(None if v is w else rotation(v, w) for v, w in zip(bases, bases[1:]))
+        backs = tuple(None if step is None else step.conj().T for step in steps)
+        return cls(tuple(observables), state, np.array([rho0.log_scale]), steps, backs)
+
+
+def _fold_stages(matrices, log_scale, observables, outcomes, sigmas, operators):
+    # fold the stages in the order given, each in its own eigenbasis, after
+    # operators[j] rewrites the stack in it; (B, k) outcomes and widths
+    for j, observable in enumerate(observables):
+        matrices, log_scale = fold(
+            observable, sigmas[:, j], outcomes[:, j], _change_basis(matrices, operators[j]), log_scale
+        )
+    return matrices, log_scale
+
+
+def chain_state_rows(rotations: Rotations, outcomes: np.ndarray, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked :func:`chain_state` fold for ``(B, k)`` outcomes and ``(B, N)`` widths, ``k <= N``.
+
+    Returns ``(B, d, d)`` matrices written in the eigenbasis of the last
+    of the ``k`` stages folded (of the first stage when ``k`` is 0) and
+    ``(B,)`` log scales, or single broadcastable ones when no stage is
+    folded. Callers check the states.
+    """
+    observables = rotations.observables[: outcomes.shape[1]]
+    return _fold_stages(rotations.state, rotations.log_scale, observables, outcomes, sigmas, (None,) + rotations.steps)
 
 
 def chain_state(chain: MeasurementChain, outcomes: Sequence[float]) -> DensityMatrix:
@@ -208,30 +232,25 @@ def chain_state(chain: MeasurementChain, outcomes: Sequence[float]) -> DensityMa
     prefactor.
     """
     fixed, sigmas = one_row(chain, outcomes)
-    matrices, log_scale = chain_state_rows(chain.initial_state, chain.observables, fixed, sigmas, None)
-    return DensityMatrix(matrices[0], log_scale=float(log_scale[0]))
+    matrices, log_scale = chain_state_rows(Rotations.of(chain.initial_state, chain.observables), fixed, sigmas)
+    last = chain.observables[max(len(outcomes), 1) - 1].eigenvectors
+    return DensityMatrix(_change_basis(matrices, rotation(last, None))[0], log_scale=float(log_scale[0]))
 
 
-def effect_chain_rows(
-    observables: Sequence[Observable], outcomes: np.ndarray, sigmas: np.ndarray, basis
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`effect_chain` for ``(B, k)`` outcomes of the last ``k`` of the N stages.
+def effect_chain_rows(rotations: Rotations, outcomes: np.ndarray, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`effect_chain` for ``(B, k)`` outcomes of the last ``k <= N`` of the N stages.
 
-    Returns ``(B, d, d)`` effect matrices written in the orthonormal
-    columns ``basis`` (``None`` for the computational basis) and ``(B,)``
-    log scales, or a single broadcastable identity and zero when ``k`` is 0.
+    Returns ``(B, d, d)`` effect matrices written in the eigenbasis of the
+    last stage folded, stage ``N - k + 1``, and ``(B,)`` log scales, or a
+    single broadcastable identity and zero when ``k`` is 0.
     """
-    k = outcomes.shape[1]
-    if k > len(observables):
-        raise ValueError(f"{k} outcomes for a {len(observables)}-stage chain")
+    observables = rotations.observables
     identity = np.eye(observables[0].dim, dtype=complex)[None]
-    if not k:
-        return identity, np.zeros(1)
     # the identity reads the same in every basis: it starts in the last stage's
-    later = slice(len(observables) - k, None)
+    later = slice(len(observables) - outcomes.shape[1], None)
     return _fold_stages(
-        identity, np.zeros(1), observables[-1].eigenvectors,
-        observables[later][::-1], outcomes[:, ::-1], sigmas[:, later][:, ::-1], basis,
+        identity, np.zeros(1), observables[later][::-1], outcomes[:, ::-1], sigmas[:, later][:, ::-1],
+        (None,) + rotations.backs[later][::-1],
     )
 
 
@@ -243,19 +262,20 @@ def effect_chain(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np
     ``(matrix, log_scale)``: the physical operator is
     ``exp(log_scale) * matrix``, so the matrix stays O(1).
     """
-    matrices, log_scale = effect_chain_rows(chain.observables, *one_row(chain, outcomes), None)
-    return matrices[0], float(log_scale[0])
+    rotations = Rotations.of(chain.initial_state, chain.observables)
+    matrices, log_scale = effect_chain_rows(rotations, *one_row(chain, outcomes))
+    operator = rotation(chain.observables[len(chain) - len(outcomes)].eigenvectors, None) if len(outcomes) else None
+    return _change_basis(matrices, operator)[0], float(log_scale[0])
 
 
 def pair_centers(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centers of the ``d^2`` pair terms of a density over a full eigenbasis."""
     d = eigenvalues.size
-    return np.repeat(eigenvalues, d), np.tile(eigenvalues, d)
+    return np.repeat(eigenvalues, d), np.concatenate([eigenvalues] * d)
 
 
 def numerator_rows(
-    rho0: DensityMatrix,
-    observables: Sequence[Observable],
+    rotations: Rotations,
     free_index: int,
     fixed: np.ndarray,
     sigmas: np.ndarray,
@@ -265,11 +285,11 @@ def numerator_rows(
 
     ``fixed`` holds ``(B, N - 1)`` outcomes of the other stages and
     ``sigmas`` the ``(B, N)`` widths, finite and positive as
-    :class:`Pointer` enforces. Each row checks, in order: finite outcomes,
-    the state of the earlier stages, finite coefficients. With free index 1
-    no stage is folded and the state is ``rho0.matrix`` in the free stage's
-    eigenbasis; :class:`DensityMatrix` construction ran it through the same
-    state check.
+    :class:`Pointer` enforces; ``rotations`` holds the chain's initial
+    state and stages. Each row checks, in order: finite outcomes, the state
+    of the earlier stages, finite coefficients. With free index 1 no stage
+    is folded and the state is ``rotations.state``; :class:`DensityMatrix`
+    construction ran the initial state through the same state check.
 
     The coefficients are ``rho * E^T`` with the state ``rho`` and the
     effect ``E`` both written in the free stage's eigenbasis: a Schur
@@ -279,24 +299,25 @@ def numerator_rows(
     """
     n = rows.check(~np.isfinite(fixed).all(axis=-1), lambda i: ValueError("fixed outcomes must be finite"))
     free = free_index - 1
-    basis = observables[free].eigenvectors
-    rho, _ = chain_state_rows(rho0, observables, fixed[:n, :free], sigmas[:n], basis)
+    # both factors end in the free stage's eigenbasis: the state one step on, the effect one step back
+    rho = _change_basis(chain_state_rows(rotations, fixed[:n, :free], sigmas[:n])[0], ((None,) + rotations.steps)[free])
     if free:
         n = check_states(rho, rows)
-    effect, _ = effect_chain_rows(observables, fixed[:n, free:], sigmas[:n], basis)
+    effect, _ = effect_chain_rows(rotations, fixed[:n, free:], sigmas[:n])
+    effect = _change_basis(effect, (rotations.backs + (None,))[free])
     coeffs = rho[:n] * effect.swapaxes(-1, -2)
     coeffs = coeffs.reshape(-1, coeffs.shape[-1] ** 2)
     if len(coeffs) != n:
         coeffs = np.repeat(coeffs, n, axis=0)
     n = check_coefficients(coeffs, rows)
-    centers_a, centers_b = pair_centers(observables[free].eigenvalues)
+    centers_a, centers_b = pair_centers(rotations.observables[free].eigenvalues)
     return coeffs[:n], centers_a, centers_b, sigmas[:n, free]
 
 
 def _pair_rows(chain, free_index, fixed, sigmas, rows: FirstFailure):
     # the chain entry points check the query shape, then run the numerators
     _check_query_shape(chain, free_index, fixed.shape[1])
-    return numerator_rows(chain.initial_state, chain.observables, free_index, fixed, sigmas, rows)
+    return numerator_rows(Rotations.of(chain.initial_state, chain.observables), free_index, fixed, sigmas, rows)
 
 
 def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str | Sequence[str]) -> int:

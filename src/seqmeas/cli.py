@@ -441,7 +441,7 @@ def cmd_chain(args) -> int:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer literal past Python's digit limit
         raise ConfigParseError(f"{args.config}: {exc}") from exc
     except RecursionError as exc:
         raise ConfigParseError(f"{args.config}: JSON nested too deeply to decode") from exc

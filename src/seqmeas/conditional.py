@@ -18,7 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ConditionalStats, MeasurementChain, chain_state, check_normalization, numerator_rows, pair_rows_moments
+from .chain import (
+    ConditionalStats, MeasurementChain, Rotations, chain_state, check_normalization, numerator_rows, pair_rows_moments,
+)
 from .core import DensityMatrix, Observable, require_same_dim
 from .errors import FirstFailure
 from .kraus import MeasurementStage
@@ -67,36 +69,31 @@ def two_stage_rows(
     outcome: np.ndarray,
     sigmas: np.ndarray,
     rows: FirstFailure,
-    moments: bool = True,
-):
+) -> ConditionalStats:
     """The 2-stage chain query for ``B`` rows of (other stage's outcome, both widths).
 
     Free index 2 is the forward query (the second outcome given the first),
     1 the backward one. ``outcome`` is ``(B,)`` and ``sigmas`` ``(B, 2)``;
     widths must be finite and positive, as :class:`Pointer` enforces.
-    Returns the :class:`ConditionalStats` of the live rows of ``rows``, or
-    with ``moments=False`` the numerator of
-    :func:`~seqmeas.chain.numerator_rows`; the caller raises
-    :meth:`FirstFailure.raise_first`.
+    Returns the :class:`ConditionalStats` of the live rows of ``rows``;
+    the caller raises :meth:`FirstFailure.raise_first`.
     """
     require_same_dim(observables[0].dim, observables[1].dim, rho0.dim)
-    numerator = numerator_rows(rho0, observables, free_index, outcome[:, None], sigmas, rows)
-    if not moments:
-        return numerator
+    numerator = numerator_rows(Rotations.of(rho0, observables), free_index, outcome[:, None], sigmas, rows)
     return pair_rows_moments(*numerator, rows, DIRECTIONS[free_index][1])[1]
 
 
-def _one_row(rho0, stage1, stage2, free_index, outcome, rows, moments=True):
+def _one_row(rho0, stage1, stage2, free_index, outcome, rows):
     # the rows core on one record of the two stages' widths
     sigmas = np.array([[stage1.sigma, stage2.sigma]])
-    return two_stage_rows(
-        rho0, (stage1.observable, stage2.observable), free_index, _one(outcome), sigmas, rows, moments
-    )
+    return two_stage_rows(rho0, (stage1.observable, stage2.observable), free_index, _one(outcome), sigmas, rows)
 
 
 def _density(rho0, stage1, stage2, free_index, outcome) -> ConditionalDensity:
-    rows = FirstFailure(1)
-    coeffs, centers_a, centers_b, sigma = _one_row(rho0, stage1, stage2, free_index, outcome, rows, moments=False)
+    require_same_dim(stage1.dim, stage2.dim, rho0.dim)
+    rows, sigmas = FirstFailure(1), np.array([[stage1.sigma, stage2.sigma]])
+    rotations = Rotations.of(rho0, (stage1.observable, stage2.observable))
+    coeffs, centers_a, centers_b, sigma = numerator_rows(rotations, free_index, _one(outcome)[:, None], sigmas, rows)
     numerator = GaussianPairSum(coeffs[0], centers_a, centers_b, float(sigma[0]))
     norm = numerator.moment(0)
     direction, label = DIRECTIONS[free_index]

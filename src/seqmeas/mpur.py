@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import pair_rows_moments
-from .conditional import DIRECTIONS, two_stage_rows
+from .chain import Rotations, numerator_rows, pair_rows_moments
+from .conditional import DIRECTIONS
 from .core import DensityMatrix, Observable, PureState, require_same_dim, unit_amplitudes
 from .errors import DegenerateDirection, FirstFailure, NotOrthogonal, SeqMeasError
 from .kraus import MeasurementStage
@@ -216,18 +216,14 @@ def conditional_mpur_sum(
     if values[-1] < 1.0 - 1e-8:
         raise ValueError("initial state must be pure for the reference bound")
     v = unit_amplitudes(vectors[:, -1])
-    observables, sigmas = (stage1.observable, stage2.observable), np.array([[stage1.sigma, stage2.sigma]])
-
-    def numerator(free_index, outcome):
-        return two_stage_rows(
-            rho0, observables, free_index, np.array([outcome], dtype=float), sigmas, FirstFailure(1), moments=False
-        )
-
+    # both directions share the initial state's rotation and the stage step
+    rotations = Rotations.of(rho0, (stage1.observable, stage2.observable))
+    outcomes, sigmas = np.array([[x1], [x2]], dtype=float), np.array([[stage1.sigma, stage2.sigma]])
     # a forward numerator error raises at once; a backward one is row 1's
     # and waits for the forward moment checks
-    rows, parts = FirstFailure(2), [numerator(2, x1)]
+    rows, parts = FirstFailure(2), [numerator_rows(rotations, 2, outcomes[:1], sigmas, FirstFailure(1))]
     try:
-        parts.append(numerator(1, x2))
+        parts.append(numerator_rows(rotations, 1, outcomes[1:], sigmas, FirstFailure(1)))
     except (SeqMeasError, ValueError) as exc:
         rows.check(np.array([False, True]), lambda i: exc)
     coeffs, centers_a, centers_b, sigma = zip(*parts)

@@ -4,6 +4,7 @@ Kept out of tier-1: pytest collects only ``test_*.py``. Run it from anywhere::
 
     python tests/mutants.py                         # the unmutated tree, then every mutant
     python tests/mutants.py fold-log-scale-halved   # the unmutated tree, then the named mutants
+    python tests/mutants.py --first-failure         # each mutant's run stops at its first failure
     python tests/mutants.py --list
 
 Each catalogue entry is ``(name, file, old text, new text)``. The old text
@@ -13,6 +14,11 @@ tree (without ``.git`` and caches) is copied to a temporary directory, the
 edit is applied there, and the tier-1 command runs on the copy. The report
 lists the tests that fail on the mutant but not on the unmutated copy; a
 mutant that fails none is a survivor. Nothing beyond pytest is needed.
+
+With ``--first-failure`` the unmutated tree still runs in full, and each
+mutant's run leaves out the unmutated tree's failures and stops at its
+first failing test. A caught mutant is then reported with that one test;
+the caught or survivor verdicts are those of the full run, in less time.
 """
 
 from __future__ import annotations
@@ -38,14 +44,26 @@ CATALOGUE = (
     (
         "change-of-basis-u-swapped",
         "src/seqmeas/chain.py",
-        "    return u.conj().T @ matrices @ u\n",
-        "    return u @ matrices @ u.conj().T\n",
+        "np.multiply.outer(u.conj(), u)",
+        "np.multiply.outer(u, u.conj())",
+    ),
+    (
+        "rotation-operator-transposed",
+        "src/seqmeas/chain.py",
+        "np.multiply.outer(u.conj(), u).swapaxes(1, 2).reshape(u.size, u.size)\n",
+        "np.multiply.outer(u.conj(), u).swapaxes(1, 2).reshape(u.size, u.size).T\n",
+    ),
+    (
+        "effect-steps-not-inverted",
+        "src/seqmeas/chain.py",
+        "backs = tuple(None if step is None else step.conj().T for step in steps)",
+        "backs = steps",
     ),
     (
         "effect-folded-in-forward-order",
         "src/seqmeas/chain.py",
-        "observables[later][::-1], outcomes[:, ::-1], sigmas[:, later][:, ::-1], basis,",
-        "observables[later], outcomes, sigmas[:, later], basis,",
+        "observables[later][::-1], outcomes[:, ::-1], sigmas[:, later][:, ::-1],",
+        "observables[later], outcomes, sigmas[:, later],",
     ),
     (
         "fold-without-hermitian-part",
@@ -127,11 +145,11 @@ def apply(tree: Path, path: str, old: str, new: str) -> None:
     target.write_text(text.replace(old, new))
 
 
-def failing_tests(tree: Path) -> set[str]:
-    """The tier-1 command on ``tree``; returns the ids pytest reports as failed or errored."""
+def failing_tests(tree: Path, options=()) -> set[str]:
+    """The tier-1 command on ``tree``, plus ``options``; returns the ids pytest reports as failed or errored."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors", *options],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     failed = set()
@@ -147,6 +165,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--list", action="store_true", help="print the catalogue and exit")
+    parser.add_argument(
+        "--first-failure", action="store_true", help="stop each mutant's run at its first new failing test"
+    )
     args = parser.parse_args(argv)
     known = {entry[0]: entry for entry in CATALOGUE}
     if args.list:
@@ -161,11 +182,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="seqmeas-mutants-") as scratch:
         baseline = failing_tests(copy_tree(Path(scratch) / "baseline"))
         print(f"unmutated: {len(baseline)} failing" + "".join(f"\n    {t}" for t in sorted(baseline)), flush=True)
+        # a failing test id is deselected; a module that failed to collect is ignored
+        options = ["-x"] + [f"--deselect={t}" if "::" in t else f"--ignore={t}" for t in sorted(baseline)]
         survivors = []
         for name, path, old, new in chosen:
             tree = copy_tree(Path(scratch) / name)
             apply(tree, path, old, new)
-            caught = sorted(failing_tests(tree) - baseline)
+            caught = sorted(failing_tests(tree, options if args.first_failure else ()) - baseline)
             if not caught:
                 survivors.append(name)
             print(f"{name}: {len(caught)} failing" + "".join(f"\n    {t}" for t in caught), flush=True)

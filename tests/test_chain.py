@@ -21,6 +21,7 @@ from seqmeas import (
     forward_stats,
 )
 from seqmeas import spin
+from seqmeas.chain import Rotations, chain_state_rows, effect_chain_rows
 from seqmeas.validate import random_density, random_observable
 
 from reference import dense_kraus_reference
@@ -301,3 +302,83 @@ class TestValidation:
             conditional_stats_k(two_stage, ChainQuery(3, (0.1,)))
         with pytest.raises(ValueError):
             conditional_stats_k(two_stage, ChainQuery(1, (0.1, 0.2)))
+
+
+BATCH_SIZES = (1, 2, 17, 4000)
+
+
+def dense_kraus(matrix, sigma, xs):
+    # (B, d, d) stack of K(x) = sum_a psi(x - a) P_a, from the matrix's own eigh
+    lam, v = np.linalg.eigh(matrix)
+    amp = (2.0 * np.pi * sigma[:, None] ** 2) ** -0.25 * np.exp(-((xs[:, None] - lam) ** 2) / (4.0 * sigma[:, None] ** 2))
+    return (v * amp[:, None, :]) @ v.conj().T
+
+
+@pytest.fixture(scope="module", params=(2, 3, 4))
+def folded_rows(request):
+    """A 3-stage chain of dimension d: both folds over 4000 records, in one batch and one row at a time.
+
+    The state folds stages 1-2 and the effect stages 3-2, so both end in
+    stage 2's eigenbasis, each after one change of basis between stages.
+    Each fold's entry holds the fold itself, its (matrices, log scales)
+    over the full batch and over the rows computed alone, and the dense
+    ``V^H M V`` reference.
+    """
+    d = request.param
+    rng = np.random.default_rng(2600 + d)
+    observables = tuple(random_observable(rng, d) for _ in range(3))
+    rho0 = random_density(rng, d)
+    rotations = Rotations.of(rho0, observables)
+    outcomes = rng.uniform(-1.0, 1.0, size=(BATCH_SIZES[-1], 2))
+    sigmas = rng.uniform(0.5, 2.0, size=(BATCH_SIZES[-1], 3))
+    folds = {
+        "state": lambda o, s: chain_state_rows(rotations, o, s),
+        "effect": lambda o, s: effect_chain_rows(rotations, o, s),
+    }
+
+    def kraus(stage, column):
+        return dense_kraus(observables[stage].matrix, sigmas[:, stage], outcomes[:, column])
+
+    def dagger(m):
+        return m.conj().swapaxes(-1, -2)
+
+    k1, k2 = kraus(0, 0), kraus(1, 1)
+    dense = {"state": k2 @ k1 @ rho0.matrix @ dagger(k1) @ dagger(k2)}
+    # the effect's outcome columns are those of stages 2 and 3
+    k2, k3 = kraus(1, 0), kraus(2, 1)
+    dense["effect"] = dagger(k2) @ dagger(k3) @ k3 @ k2
+    v = observables[1].eigenvectors
+    rows = {}
+    for name, fold_rows in folds.items():
+        alone = [fold_rows(outcomes[i : i + 1], sigmas[i : i + 1]) for i in range(len(outcomes))]
+        rows[name] = (
+            fold_rows,
+            fold_rows(outcomes, sigmas),
+            tuple(np.concatenate(parts) for parts in zip(*alone)),
+            v.conj().T @ dense[name] @ v,
+        )
+    return outcomes, sigmas, rows
+
+
+class TestBatchIndependence:
+    """A row of the batched folds has the same bits in every batch, and the dense value."""
+
+    @pytest.mark.parametrize("fold", ("state", "effect"))
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_rows_equal_alone_and_in_the_full_batch(self, folded_rows, fold, size):
+        outcomes, sigmas, rows = folded_rows
+        fold_rows, full, alone, _ = rows[fold]
+        batch = fold_rows(outcomes[:size], sigmas[:size])
+        assert batch[0].shape == (size,) + full[0].shape[1:]
+        # matrices, then log scales
+        for got, in_full, each_alone in zip(batch, full, alone):
+            assert np.array_equal(got, in_full[:size])
+            assert np.array_equal(got, each_alone[:size])
+
+    @pytest.mark.parametrize("fold", ("state", "effect"))
+    def test_rows_match_dense_reference(self, folded_rows, fold):
+        _, _, rows = folded_rows
+        _, (matrices, log_scale), _, dense = rows[fold]
+        # the engine keeps O(1) matrices and carries the dropped factor in the log scale
+        assert np.max(np.abs(matrices - dense * np.exp(-log_scale)[:, None, None])) < 1e-14
+

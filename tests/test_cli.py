@@ -932,6 +932,11 @@ class TestConfigIntake:
         _, err = self.run_bytes(capsys, tmp_path, text.encode())
         assert err.startswith(f"error: {field}: ") and len(err.encode()) < 300
 
+    def test_integer_literal_past_the_digit_limit(self, capsys, tmp_path):
+        text = CHAIN4.read_text().replace('"sigma": 0.5', '"sigma": 1' + "0" * 5000, 1)
+        path, err = self.run_bytes(capsys, tmp_path, text.encode())
+        assert err.startswith(f"error: {path}: ") and "digits" in err
+
     def test_utf8_bom(self, capsys, tmp_path):
         path, err = self.run_bytes(capsys, tmp_path, b"\xef\xbb\xbf" + CHAIN4.read_bytes())
         assert err == f"error: {path}:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
