@@ -235,35 +235,45 @@ def quad_pair_sum_stats(
     return norm, mean, second / norm - mean * mean
 
 
-def _pick_components(rng: np.random.Generator, weights: np.ndarray, count: int | None = None) -> np.ndarray:
+def _pick_components(rng: np.random.Generator, weights: np.ndarray, count: int | None = None, work=None) -> np.ndarray:
     # weights has one row per component and one column per sample, or one
     # column shared by all ``count`` samples; it need not be normalized,
-    # since draws are scaled by the column totals
-    bounds = [weights[0]]
-    for row in weights[1:]:
-        bounds.append(bounds[-1] + row)
-    totals = bounds.pop()
-    bad = ~(np.isfinite(totals) & (totals > 0.0))
-    if bad.any():
-        k = int(np.argmax(bad))
+    # since draws are scaled by the column totals. ``work`` holds draws,
+    # picks and flags buffers of length ``count``; with it nothing is
+    # allocated and weights is overwritten by its cumulative sums
+    count = weights.shape[1] if count is None else count
+    if work is None:
+        weights = np.array(weights, dtype=float)
+        work = np.empty(count), np.empty(count, dtype=np.intp), np.empty(count, dtype=bool)
+    draws, comp, flags = work
+    for k in range(1, len(weights)):
+        weights[k] += weights[k - 1]
+    totals = weights[-1]
+    # a NaN minimum fails the first test
+    if not (totals.min() > 0.0 and totals.max() < np.inf):
+        k = int(np.argmax(~(np.isfinite(totals) & (totals > 0.0))))
         raise ZeroLikelihood(f"level weights of sample {k} sum to {float(totals[k])!r}")
-    count = totals.size if count is None else count
-    draws = rng.random(count) * totals
-    if len(bounds) == 1:
-        return (draws >= bounds[0]).astype(np.intp)
-    comp = np.zeros(count, dtype=np.intp)
-    for bound in bounds:
-        comp += bound < draws
+    rng.random(out=draws)
+    draws *= totals
+    if len(weights) == 2:
+        return np.greater_equal(draws, weights[0], out=comp)
+    comp.fill(0)
+    for bound in weights[:-1]:
+        comp += np.less(bound, draws, out=flags)
     return comp
 
 
 def _level_sums(values: np.ndarray, level_of: np.ndarray, n_levels: int) -> np.ndarray:
-    # (d, n) eigenvalue weights to (n_levels, n) level weights
+    # (d, n) eigenvalue weights to (n_levels, n) level weights, in place;
+    # level_of is nondecreasing, so no row is overwritten before it is read
     if n_levels == level_of.size:
         return values
-    sums = np.zeros((n_levels, values.shape[1]))
-    np.add.at(sums, level_of, values)
-    return sums
+    for i in range(1, level_of.size):
+        if level_of[i] == level_of[i - 1]:
+            values[level_of[i]] += values[i]
+        else:
+            values[level_of[i]] = values[i]
+    return values[:n_levels]
 
 
 def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,12 +308,14 @@ def _coord_rotation(u: np.ndarray) -> np.ndarray:
     return _hermitian_coords(u.conj().T @ basis @ u).T
 
 
-def _amplitudes(x: np.ndarray, stage: MeasurementStage) -> np.ndarray:
-    # Kraus weights w_p(x) of every eigenvalue, shape (d, n); sampled
-    # outcomes stay within a few sigma of a center, so they cannot all
-    # underflow before normalization
-    eigenvalues = stage.observable.eigenvalues
-    return np.exp(-((x[None, :] - eigenvalues[:, None]) ** 2) / (4.0 * stage.sigma**2))
+def _amplitudes(x: np.ndarray, stage: MeasurementStage, out: np.ndarray) -> np.ndarray:
+    # Kraus weights w_p(x) of every eigenvalue into ``out``, shape (d, n);
+    # sampled outcomes stay within a few sigma of a center, so they cannot
+    # all underflow before normalization
+    np.subtract(x, stage.observable.eigenvalues[:, None], out=out)
+    np.square(out, out=out)
+    out /= -(4.0 * stage.sigma**2)
+    return np.exp(out, out=out)
 
 
 def sample_chain(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
@@ -323,7 +335,9 @@ def sample_chain(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
     its update folds into the first rotation: one GEMM over the d(d+1)/2
     products w_p w_q. The last stage reads only populations, so the
     rotation into it keeps d rows, and the state before it is not
-    renormalized, since the pick divides by the totals.
+    renormalized, since the pick divides by the totals. Every step writes
+    into one workspace per call, one chunk wide, and the draws are those of
+    allocating calls in the same order, so the records do not depend on it.
 
     Raises
     ------
@@ -351,6 +365,12 @@ def sample_chain(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
         kernel = rotations[0] * rho0
         rotations[0] = np.concatenate([kernel[:, :d], kernel[:, d : p.size] + kernel[:, p.size :]], axis=1)
     out = np.empty((n, len(stages)))
+    # the GEMMs alternate between two state buffers, since numpy copies an aliased out
+    m = min(n, _CHUNK)
+    buffers = np.empty((2, d * d, m))
+    products, amplitudes, populations = np.empty((p.size, m)), np.empty((d, m)), np.empty((d, m))
+    x, noise, draws, totals = np.empty((4, m))
+    picks, flags = np.empty(m, dtype=np.intp), np.empty(m, dtype=bool)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         count = stop - start
@@ -358,23 +378,27 @@ def sample_chain(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
         states = rho0[:, None]
         for j, stage in enumerate(stages):
             obs = stage.observable
-            probs = _level_sums(np.clip(states[:d], 0.0, None), obs.level_of, obs.levels.size)
-            comp = _pick_components(rng, probs, count)
-            x = obs.levels[comp] + stage.sigma * rng.standard_normal(count)
-            out[start:stop, j] = x
+            clipped = np.clip(states[:d], 0.0, None, out=populations[:, : states.shape[1]])
+            probs = _level_sums(clipped, obs.level_of, obs.levels.size)
+            comp = _pick_components(rng, probs, count, (draws[:count], picks[:count], flags[:count]))
+            # in-range picks; the default mode would copy out to guard against a bad index
+            xs = np.take(obs.levels, comp, out=x[:count], mode="clip")
+            xs += np.multiply(stage.sigma, rng.standard_normal(out=noise[:count]), out=noise[:count])
+            out[start:stop, j] = xs
             if j + 1 == len(stages):
                 break
-            w = _amplitudes(x, stage)
-            products = w[p] * w[q]
-            if j == 0:
-                # the first update is folded into rotations[0]
-                states = rotations[0] @ products
-                continue
-            states[: p.size] *= products
-            states[p.size :] *= products[d:]
-            if j + 2 < len(stages):
-                states /= states[:d].sum(axis=0)
-            states = rotations[j] @ states
+            w = _amplitudes(xs, stage, amplitudes[:, :count])
+            prods = products[:, :count]
+            for k in range(p.size):
+                np.multiply(w[p[k]], w[q[k]], out=prods[k])
+            if j:
+                states[: p.size] *= prods
+                states[p.size :] *= prods[d:]
+                if j + 2 < len(stages):
+                    states /= states[:d].sum(axis=0, out=totals[:count])
+            # the first update is folded into rotations[0]
+            target = buffers[j % 2, : len(rotations[j]), :count]
+            states = np.matmul(rotations[j], states if j else prods, out=target)
     return out
 
 

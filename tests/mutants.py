@@ -120,6 +120,20 @@ CATALOGUE = (
         "rotations[-1] = rotations[-1][-d:]",
     ),
     (
+        "sampler-amplitude-width-halved",
+        "src/seqmeas/oracle.py",
+        "    out /= -(4.0 * stage.sigma**2)\n",
+        "    out /= -(2.0 * stage.sigma**2)\n",
+    ),
+    (
+        # the renormalisation's totals stay at the workspace's full width, which
+        # a short last chunk's columns do not fill
+        "short-chunk-totals-full-width",
+        "src/seqmeas/oracle.py",
+        "states /= states[:d].sum(axis=0, out=totals[:count])",
+        "states /= states[:d].sum(axis=0, out=totals)",
+    ),
+    (
         "fig4-forward-free-index",
         "src/seqmeas/cli.py",
         "two_stage_rows(rho0, (sz, sx), 1, x2, sigmas, r)",
@@ -149,7 +163,9 @@ def failing_tests(tree: Path, options=()) -> set[str]:
     """The tier-1 command on ``tree``, plus ``options``; returns the ids pytest reports as failed or errored."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors", *options],
+        # -W as in CI's tier-1 step, so a mutant is judged by that step's checks
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "-W", "error::RuntimeWarning",
+         "--continue-on-collection-errors", *options],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     failed = set()

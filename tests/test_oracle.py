@@ -293,6 +293,30 @@ class TestSampleStream:
         got = sample_chain(chain, SamplerConfig(samples=70_000, seed=seed))
         assert np.array_equal(got, _reference_records(chain, 70_000, seed))
 
+    @pytest.mark.parametrize("samples", [1, 1 << 16, (1 << 17) + 1])
+    def test_chunk_boundary_records(self, samples):
+        # one sample, exactly one full chunk, and two full chunks and a
+        # one-sample chunk, which run on narrowed views of the workspace
+        rng = np.random.default_rng(27_001)
+        for dim in (2, 3):
+            for n_stages in (1, 3, 4):
+                chain = _random_chain(rng, dim, n_stages, degenerate=dim == 3 and n_stages == 4)
+                seed = int(rng.integers(2**62))
+                got = sample_chain(chain, SamplerConfig(samples=samples, seed=seed))
+                assert np.array_equal(got, _reference_records(chain, samples, seed)), (dim, n_stages)
+
+    def test_records_are_new_arrays(self):
+        rng = np.random.default_rng(27_002)
+        chain = _random_chain(rng, 3, 4)
+        first = sample_chain(chain, SamplerConfig(samples=70_000, seed=1))
+        kept = first.copy()
+        assert first.shape == (70_000, 4) and first.dtype == np.float64
+        assert first.flags.c_contiguous and first.flags.owndata
+        second = sample_chain(chain, SamplerConfig(samples=70_000, seed=2))
+        sample_chain(_random_chain(rng, 2, 3), SamplerConfig(samples=70_000, seed=1))
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+
 
 class TestPickComponents:
     @pytest.mark.parametrize("levels", [2, 3])
@@ -309,6 +333,37 @@ class TestPickComponents:
         weights[0, 1] = np.nan
         with pytest.raises(ZeroLikelihood, match="sample 1 sum to nan"):
             _pick_components(np.random.default_rng(0), weights)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("bad, text", [(np.inf, "inf"), (-1.0, "-1.0")])
+    def test_infinite_or_negative_total_raises(self, levels, bad, text):
+        weights = np.ones((levels, 5))
+        weights[:, 2] = 0.0
+        weights[-1, 2] = bad
+        with pytest.raises(ZeroLikelihood, match=f"sample 2 sum to {text}$"):
+            _pick_components(np.random.default_rng(0), weights)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_shared_column_zero_total_raises(self, levels):
+        # one column shared by four samples
+        with pytest.raises(ZeroLikelihood, match="sample 0 sum to 0.0"):
+            _pick_components(np.random.default_rng(0), np.zeros((levels, 1)), 4)
+
+    def test_first_bad_sample_is_named(self):
+        weights = np.ones((3, 6))
+        weights[:, 4] = 0.0
+        weights[1, 2] = np.nan
+        with pytest.raises(ZeroLikelihood, match="sample 2 sum to nan"):
+            _pick_components(np.random.default_rng(0), weights)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_workspace_gives_the_same_picks(self, levels):
+        weights = np.random.default_rng(1).random((levels, 50))
+        work = np.empty(50), np.empty(50, dtype=np.intp), np.empty(50, dtype=bool)
+        plain = _pick_components(np.random.default_rng(2), weights)
+        # with a workspace, weights is overwritten by its cumulative sums
+        got = _pick_components(np.random.default_rng(2), weights.copy(), None, work)
+        assert np.array_equal(plain, got) and got is work[1]
 
 
 class TestJackknife:
