@@ -18,7 +18,7 @@ from .conditional import (
     forward_density,
     forward_stats,
 )
-from .core import DensityMatrix, Observable, PureState, eigh, group_degenerate, variance_of
+from .core import DensityMatrix, Observable, PureState, eigh, variance_of
 from .errors import (
     ConfigParseError,
     DegenerateDirection,
@@ -101,7 +101,6 @@ __all__ = [
     "eigh",
     "forward_density",
     "forward_stats",
-    "group_degenerate",
     "joint_statistics",
     "kraus_at",
     "mc_conditional_variance",

@@ -120,8 +120,7 @@ def marginal_density_x1(rho0: DensityMatrix, stage1: MeasurementStage) -> Gaussi
     """Unconditional density of the first outcome: a plain Gaussian mixture."""
     obs = stage1.observable
     populations = np.einsum("ia,ij,ja->a", obs.eigenvectors.conj(), rho0.matrix, obs.eigenvectors).real
-    weights = np.bincount(obs.level_of, weights=populations, minlength=obs.levels.size)
-    return GaussianPairSum.mixture(np.clip(weights, 0.0, None), obs.levels, stage1.sigma)
+    return GaussianPairSum.mixture(np.clip(populations, 0.0, None), obs.eigenvalues, stage1.sigma)
 
 
 def forward_density(
@@ -133,7 +132,7 @@ def forward_density(
     """Density of the second outcome given the first: ``p(x2 | x1)``.
 
     The numerator is the ``d^2``-term pair sum over the second observable's
-    eigenbasis, unnormalized: its diagonal terms weight the levels by the
+    eigenbasis, unnormalized: its diagonal terms weight the eigenvalues by the
     conditional state, and its cross terms are zero up to rounding.
 
     Raises

@@ -1,8 +1,7 @@
 """Dense complex linear algebra for finite-dimensional quantum systems.
 
 States are density matrices, observables are stored spectrally
-(eigenvalues, eigenvectors, and the distinct levels with each eigenvalue's
-level index).
+(eigenvalues with multiplicity, as ``eigh`` gives them, and eigenvectors).
 Everything is immutable after construction and safe to share across
 threads.
 """
@@ -18,7 +17,6 @@ from .errors import DimensionMismatch, FirstFailure, NoConvergence, NotHermitian
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
-DEGENERACY_GAP_TOL = 1e-9
 VARIANCE_CLAMP = 1e-12
 
 
@@ -108,29 +106,6 @@ def eigh(matrix):
         raise NoConvergence(str(exc)) from exc
 
 
-def group_degenerate(eigenvalues, gap_tol: float = DEGENERACY_GAP_TOL) -> list[list[int]]:
-    """Partition ascending eigenvalues into groups of (near-)degenerate ones.
-
-    Consecutive eigenvalues closer than ``gap_tol`` are merged into one
-    spectral group; each group later becomes a single level.
-    """
-    values = np.asarray(eigenvalues, dtype=float)
-    starts = _group_starts(values, gap_tol)
-    if values.size == 0:
-        return []
-    return [g.tolist() for g in np.split(np.arange(values.size), np.flatnonzero(starts) + 1)]
-
-
-def _group_starts(values: np.ndarray, gap_tol: float) -> np.ndarray:
-    """Whether each eigenvalue after the first starts a new group (its gap is not <= gap_tol)."""
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
-    gaps = np.diff(values)
-    if (gaps < -gap_tol).any():
-        raise ValueError("eigenvalues must be ascending")
-    return ~(gaps <= gap_tol)
-
-
 @dataclass(frozen=True)
 class Observable:
     """Hermitian operator stored as spectral data.
@@ -142,19 +117,13 @@ class Observable:
     eigenvalues : ndarray
         Ascending eigenvalues, with multiplicity.
     eigenvectors : ndarray
-        Orthonormal eigenvector columns, aligned with ``eigenvalues``.
-    levels : ndarray
-        Distinct eigenvalues after degeneracy grouping.
-    level_of : ndarray
-        Index into ``levels`` for each entry of ``eigenvalues``; the
-        eigenvector columns of one level span its spectral projector.
+        Orthonormal eigenvector columns, aligned with ``eigenvalues``; the
+        columns of equal eigenvalues span their spectral projector.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    levels: np.ndarray
-    level_of: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -241,41 +210,28 @@ class Observable:
         """
         d = values.shape[-1]
         unitarity = np.abs(vectors.conj().swapaxes(-1, -2) @ vectors - _identity(d)).max(axis=(-2, -1))
-        # smallest gap to the next eigenvalue (inf for d = 1)
-        gap = (values[:, 1:] - values[:, :-1]).min(axis=-1, initial=np.inf)
         skewed = unitarity > 1e-10
         # the orthonormality and then the ordering check of every row, as one check
         n = rows.check(
-            skewed | (gap < -DEGENERACY_GAP_TOL),
+            skewed | (np.diff(values, axis=-1) < 0.0).any(axis=-1),
             lambda i: ValueError(
                 f"eigenvectors not orthonormal: defect {unitarity[i]:.3e}"
                 if skewed[i]
                 else "eigenvalues must be ascending"
             ),
         )
-        if n < len(values):
-            values, vectors, gap = values[:n], vectors[:n], gap[:n]
+        values, vectors = _frozen(values)[:n], _frozen(vectors)[:n]
         if matrices is None:
             matrices = (vectors * values[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
-        values, vectors, matrices = _frozen(values), _frozen(vectors), _frozen(matrices[:n])
-        observables = []
-        for i, plain in enumerate((gap > DEGENERACY_GAP_TOL).tolist()):
-            levels, level_of = (values[i], _level_index(d)) if plain else _grouped_levels(values[i])
-            observables.append(
-                cls(matrix=matrices[i], eigenvalues=values[i], eigenvectors=vectors[i], levels=levels, level_of=level_of)
-            )
-        return observables
+        return [
+            cls(matrix=matrix, eigenvalues=value, eigenvectors=vector)
+            for matrix, value, vector in zip(_frozen(matrices)[:n], values, vectors)
+        ]
 
 
 @functools.cache
 def _identity(d: int) -> np.ndarray:
     return _frozen(np.eye(d))
-
-
-@functools.cache
-def _level_index(d: int) -> np.ndarray:
-    """``level_of`` of every nondegenerate spectrum of dimension ``d``, shared read-only."""
-    return _frozen(np.arange(d, dtype=np.intp))
 
 
 def _eigh_rows(m: np.ndarray, rows: FirstFailure):
@@ -297,18 +253,6 @@ def _eigh_rows(m: np.ndarray, rows: FirstFailure):
         np.array([w for w, _ in done]).reshape(len(done), d),
         np.array([v for _, v in done], dtype=complex).reshape(len(done), d, d),
     )
-
-
-def _grouped_levels(values):
-    """Levels and level index of a degenerate spectrum, one group at a time.
-
-    Per group, as before: whole-array forms round the sums differently.
-    """
-    starts = _group_starts(values, DEGENERACY_GAP_TOL)
-    level_of = np.zeros(values.size, dtype=np.intp)
-    np.cumsum(starts, out=level_of[1:])
-    levels = np.array([group.mean() for group in np.split(values, np.flatnonzero(starts) + 1)])
-    return _frozen(levels), _frozen(level_of)
 
 
 @dataclass(frozen=True)

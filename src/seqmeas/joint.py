@@ -95,9 +95,9 @@ def backaction_variance_rows(
     # diagonal of U^H rho U, U = V1^H V_B: the populations of B's eigenvectors
     u = obs1.eigenvectors.conj().T @ observable_b.eigenvectors
     populations = ((states[:n] @ u) * u.conj()).sum(axis=-2).real
-    levels = observable_b.levels[observable_b.level_of]
-    mean = (populations * levels).sum(axis=-1)
-    second = (populations * levels**2).sum(axis=-1)
+    values = observable_b.eigenvalues
+    mean = (populations * values).sum(axis=-1)
+    second = (populations * values**2).sum(axis=-1)
     variance = second - mean * mean
     return np.where(0.0 > variance, 0.0, variance)
 

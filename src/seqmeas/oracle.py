@@ -263,19 +263,6 @@ def _pick_components(rng: np.random.Generator, weights: np.ndarray, count: int |
     return comp
 
 
-def _level_sums(values: np.ndarray, level_of: np.ndarray, n_levels: int) -> np.ndarray:
-    # (d, n) eigenvalue weights to (n_levels, n) level weights, in place;
-    # level_of is nondecreasing, so no row is overwritten before it is read
-    if n_levels == level_of.size:
-        return values
-    for i in range(1, level_of.size):
-        if level_of[i] == level_of[i - 1]:
-            values[level_of[i]] += values[i]
-        else:
-            values[level_of[i]] = values[i]
-    return values[:n_levels]
-
-
 def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each entry on or above the diagonal: the diagonal first."""
     upper_p, upper_q = np.triu_indices(d, 1)
@@ -322,14 +309,15 @@ def sample_chain(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
     """Synthetic outcome records, one row per run of the whole chain.
 
     Each stage's outcome is drawn from the Gaussian mixture over the stage
-    observable's levels weighted by the current conditional state, after
-    which the state is updated with the matching Kraus operator. Fixed
+    observable's eigenvalues, weighted by their eigenvectors' populations in
+    the current conditional state, after which the state is updated with
+    the matching Kraus operator. Fixed
     seeds reproduce records exactly.
 
     Each sample's state is carried in the current stage's eigenbasis as its
     d^2 real Hermitian coordinates (see ``_hermitian_coords``). The Kraus
-    update scales the coordinates of entry (p, q) by w_p w_q, the level
-    probabilities are sums of the first d coordinates, and moving to the
+    update scales the coordinates of entry (p, q) by w_p w_q, the pick
+    weights are the first d coordinates, and moving to the
     next stage's eigenbasis is one real GEMM. Every sample starts from the
     same state, so the first stage draws from one shared weight column and
     its update folds into the first rotation: one GEMM over the d(d+1)/2
@@ -378,11 +366,10 @@ def sample_chain(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
         states = rho0[:, None]
         for j, stage in enumerate(stages):
             obs = stage.observable
-            clipped = np.clip(states[:d], 0.0, None, out=populations[:, : states.shape[1]])
-            probs = _level_sums(clipped, obs.level_of, obs.levels.size)
+            probs = np.clip(states[:d], 0.0, None, out=populations[:, : states.shape[1]])
             comp = _pick_components(rng, probs, count, (draws[:count], picks[:count], flags[:count]))
             # in-range picks; the default mode would copy out to guard against a bad index
-            xs = np.take(obs.levels, comp, out=x[:count], mode="clip")
+            xs = np.take(obs.eigenvalues, comp, out=x[:count], mode="clip")
             xs += np.multiply(stage.sigma, rng.standard_normal(out=noise[:count]), out=noise[:count])
             out[start:stop, j] = xs
             if j + 1 == len(stages):

@@ -38,12 +38,16 @@ def up():
 
 @pytest.fixture
 def spectral_projectors():
-    """Builds an observable's ``(L, d, d)`` spectral projectors from its eigenvectors and level index."""
+    """Builds an observable's ``L`` distinct eigenvalues and ``(L, d, d)`` spectral projectors.
 
-    def build(obs) -> np.ndarray:
+    Only exactly equal eigenvalues share a projector.
+    """
+
+    def build(obs) -> tuple[np.ndarray, np.ndarray]:
+        levels, level_of = np.unique(obs.eigenvalues, return_inverse=True)
         v = obs.eigenvectors
-        return np.stack(
-            [v[:, obs.level_of == g] @ v[:, obs.level_of == g].conj().T for g in range(obs.levels.size)]
+        return levels, np.stack(
+            [v[:, level_of == g] @ v[:, level_of == g].conj().T for g in range(levels.size)]
         )
 
     return build

@@ -36,10 +36,10 @@ REPO = Path(__file__).resolve().parent.parent
 #: (name, file relative to the repository root, exact old text, new text)
 CATALOGUE = (
     (
-        "fold-weights-without-level_of",
+        "fold-eigenvalues-snapped",
         "src/seqmeas/kraus.py",
-        "log_amplitude_at(sigmas[:, None], xs[:, None], observable.levels)[:, observable.level_of]",
-        "log_amplitude_at(sigmas[:, None], xs[:, None], observable.levels)",
+        "log_amplitude_at(sigmas[:, None], xs[:, None], observable.eigenvalues)",
+        "log_amplitude_at(sigmas[:, None], xs[:, None], np.round(observable.eigenvalues, 9))",
     ),
     (
         "change-of-basis-u-swapped",

@@ -66,10 +66,9 @@ class TestChainState:
         )
         assert rho2.trace > 0.0
         p1 = spin.rhobar1_closed(0.5, x1)
-        weights = np.einsum(
-            "gij,ji->g", spectral_projectors(spin.s_x()), p1.matrix
-        ).real
-        pdf = (2 * np.pi * 0.25) ** -0.5 * np.exp(-((x2 - spin.s_x().levels) ** 2) / 0.5)
+        levels, projectors = spectral_projectors(spin.s_x())
+        weights = np.einsum("gij,ji->g", projectors, p1.matrix).real
+        pdf = (2 * np.pi * 0.25) ** -0.5 * np.exp(-((x2 - levels) ** 2) / 0.5)
         assert abs(rho2.trace - float(np.dot(weights, pdf))) < 1e-14
 
 
@@ -287,6 +286,29 @@ class TestImprobableRecords:
             assert abs(result.variance - variance) / max(1.0, abs(variance)) < 1e-12
             answered += 1
         assert answered >= 90
+
+
+class TestNearDegenerateSpectra:
+    """Eigenvalues closer than any tolerance stay apart: each keeps its own Kraus weight."""
+
+    @pytest.mark.parametrize("gap", [5e-10, 1e-12])
+    def test_matches_dense_reference(self, rng, gap):
+        # three qutrit stages U diag(0, gap, 1) U^dagger at sigma = 0.05, the middle outcome free
+        sigmas = [0.05] * 3
+        for _ in range(20):
+            mats = []
+            for _ in range(3):
+                q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+                mats.append((q * [0.0, gap, 1.0]) @ q.conj().T)
+            rho = random_density(rng, 3)
+            fixed = [float(rng.choice([0.0, gap, 1.0]) + 0.05 * rng.standard_normal()) for _ in range(2)]
+            chain = MeasurementChain(
+                tuple(MeasurementStage(Observable.from_matrix(a), Pointer(s)) for a, s in zip(mats, sigmas)), rho
+            )
+            result = conditional_stats_k(chain, ChainQuery(2, tuple(fixed)))
+            mean, variance = dense_kraus_reference(mats, sigmas, rho.matrix, 1, fixed)
+            assert abs(result.mean - mean) < 1e-12
+            assert abs(result.variance - variance) < 1e-12
 
 
 class TestValidation:

@@ -88,7 +88,7 @@ class TestForward:
             density = forward_density(rho, s1, s2, float(rng.uniform(-1, 1)))
             lo, hi = -30, 30
             total = quad(
-                lambda x: density.pdf(x), lo, hi, points=s2.observable.levels.tolist(), limit=200
+                lambda x: density.pdf(x), lo, hi, points=s2.observable.eigenvalues.tolist(), limit=200
             )[0]
             assert abs(total - 1.0) < 1e-8
 
@@ -214,10 +214,9 @@ class TestBayesConsistency:
             x1, x2 = rng.uniform(-1.5, 1.5, size=2)
             p_x1 = conditional_state(rho, s1, x1).trace
             rho1 = post_first_state(rho, s1)
-            w = np.einsum("gij,ji->g", spectral_projectors(s2.observable), rho1.matrix).real
-            pdf2 = (2 * np.pi * s2.sigma**2) ** -0.5 * np.exp(
-                -((x2 - s2.observable.levels) ** 2) / (2 * s2.sigma**2)
-            )
+            levels, projectors = spectral_projectors(s2.observable)
+            w = np.einsum("gij,ji->g", projectors, rho1.matrix).real
+            pdf2 = (2 * np.pi * s2.sigma**2) ** -0.5 * np.exp(-((x2 - levels) ** 2) / (2 * s2.sigma**2))
             p_x2 = float(np.dot(w, pdf2))
             lhs = float(forward_density(rho, s1, s2, x1).pdf(x2)) * p_x1
             rhs = float(backward_density(rho, s1, s2, x2).pdf(x1)) * p_x2

@@ -13,11 +13,10 @@ from seqmeas import (
     Observable,
     PureState,
     eigh,
-    group_degenerate,
     variance_of,
 )
 from seqmeas import spin
-from seqmeas.core import DEGENERACY_GAP_TOL, check_states
+from seqmeas.core import check_states
 from seqmeas.errors import FirstFailure
 from seqmeas.validate import random_density, random_hermitian, random_observable
 
@@ -55,29 +54,14 @@ class TestEigh:
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestGroupDegenerate:
-    def test_exact_degeneracy(self):
-        assert group_degenerate([1.0, 1.0, 2.0]) == [[0, 1], [2]]
-
-    def test_spin_levels_stay_split(self):
-        assert group_degenerate([-0.5, 0.5]) == [[0], [1]]
-
-    def test_merge_below_tolerance(self):
-        assert group_degenerate([0.0, 1e-12, 1.0]) == [[0, 1], [2]]
-
-    def test_rejects_descending(self):
-        with pytest.raises(ValueError):
-            group_degenerate([1.0, 0.0])
-
-
 class TestObservable:
     def test_projector_algebra(self, rng, spectral_projectors):
         for dim in (2, 3, 4):
             obs = random_observable(rng, dim)
-            projectors = spectral_projectors(obs)
+            levels, projectors = spectral_projectors(obs)
             total = projectors.sum(axis=0)
             assert np.max(np.abs(total - np.eye(dim))) < 1e-10
-            rebuilt = np.einsum("g,gij->ij", obs.levels, projectors)
+            rebuilt = np.einsum("g,gij->ij", levels, projectors)
             assert np.max(np.abs(rebuilt - obs.matrix)) < 1e-10
             for i, p in enumerate(projectors):
                 assert np.max(np.abs(p @ p - p)) < 1e-10
@@ -85,24 +69,11 @@ class TestObservable:
                     assert np.max(np.abs(p @ q)) < 1e-10
 
     def test_degenerate_spectrum_grouped(self):
+        # a degenerate level is its equal eigenvalues, and their columns span its projector
         obs = Observable.from_matrix(np.diag([1.0, 1.0, 3.0]))
-        assert obs.levels.tolist() == [1.0, 3.0]
-        assert obs.level_of.tolist() == [0, 0, 1]
-
-
-def per_group_spectral_data(values):
-    """Levels and level index built group by group, one Python loop each."""
-    groups = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[groups[-1][-1]] <= DEGENERACY_GAP_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    levels = np.array([values[g].mean() for g in groups])
-    level_of = np.empty(values.size, dtype=np.intp)
-    for index, members in enumerate(groups):
-        level_of[members] = index
-    return levels, level_of
+        assert obs.eigenvalues.tolist() == [1.0, 1.0, 3.0]
+        v = obs.eigenvectors[:, :2]
+        assert np.max(np.abs(v @ v.conj().T - np.diag([1.0, 1.0, 0.0]))) < 1e-15
 
 
 def random_unitary(rng, dim):
@@ -111,22 +82,17 @@ def random_unitary(rng, dim):
 
 
 class TestFromSpectrumMatchesPerGroupLoop:
-    """The spectral data equal a per-group construction bit for bit."""
+    """The spectral data are the spectrum as given, bit for bit, degenerate or not."""
 
     def assert_matches(self, obs, values, vectors):
-        levels, level_of = per_group_spectral_data(values)
         assert np.array_equal(obs.eigenvalues, values)
         assert np.array_equal(obs.eigenvectors, vectors)
-        assert np.array_equal(obs.levels, levels)
-        assert obs.level_of.dtype == np.intp
-        assert np.array_equal(obs.level_of, level_of)
 
     def test_random_nondegenerate(self, rng):
         for _ in range(240):
             dim = int(rng.integers(2, 6))
             h = random_hermitian(rng, dim) * 10.0 ** rng.uniform(-2, 2)
             values, vectors = eigh(h)
-            assert np.all(np.diff(values) > DEGENERACY_GAP_TOL)
             self.assert_matches(Observable.from_matrix(h), values, vectors)
             self.assert_matches(Observable.from_spectrum(values, vectors), values, vectors)
 
@@ -141,7 +107,7 @@ class TestFromSpectrumMatchesPerGroupLoop:
             [-1.0, 0.5, 0.5, 0.5],
             [0.0, 0.0, 0.0, 0.0, 0.0],
             [-2.0, -2.0, 1.0, 1.0, 4.0],
-            # within DEGENERACY_GAP_TOL of a neighbour, chained across a group
+            # gaps of at most 1e-9 to a neighbour
             [0.0, 4e-10, 8e-10, 1.0],
             [0.3, 0.3 + 1e-12, 2.0, 2.0 + 5e-10],
         ],
@@ -152,7 +118,6 @@ class TestFromSpectrumMatchesPerGroupLoop:
             vectors = random_unitary(rng, values.size)
             obs = Observable.from_spectrum(values, vectors)
             self.assert_matches(obs, values, vectors)
-            assert obs.levels.size < values.size
 
     @pytest.mark.parametrize(
         "args,kwargs,error,message",
@@ -162,6 +127,8 @@ class TestFromSpectrumMatchesPerGroupLoop:
             (([0.0, 1.0], [[1.0, 1.0], [0.0, 1.0]]), {}, ValueError,
              "eigenvectors not orthonormal: defect 1.000e+00"),
             (([1.0, 0.0], np.eye(2)), {}, ValueError, "eigenvalues must be ascending"),
+            # any negative gap, however small
+            (([1.0, 1.0 - 1e-12], np.eye(2)), {}, ValueError, "eigenvalues must be ascending"),
         ],
     )
     def test_errors_unchanged(self, args, kwargs, error, message):
@@ -232,12 +199,12 @@ class TestFromMatrices:
         for _ in range(40):
             dim = int(rng.integers(2, 5))
             stack = [random_hermitian(rng, dim) for _ in range(int(rng.integers(1, 9)))]
-            # degenerate rows among nondegenerate ones take the per-group path
+            # degenerate rows among nondegenerate ones
             u = random_unitary(rng, dim)
             stack[int(rng.integers(len(stack)))] = (u * ([1.0] * (dim - 1) + [2.0])) @ u.conj().T
             for got, matrix in zip(Observable.from_matrices(np.array(stack)), stack):
                 want = Observable.from_matrix(matrix)
-                for name in ("matrix", "eigenvalues", "eigenvectors", "levels", "level_of"):
+                for name in ("matrix", "eigenvalues", "eigenvectors"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
                     assert getattr(got, name).dtype == getattr(want, name).dtype
                     assert not getattr(got, name).flags.writeable

@@ -106,7 +106,7 @@ class TestFold:
             [1.0, 1.0, 3.0],
             [-1.0, 0.5, 0.5, 0.5],
             [-2.0, -2.0, 1.0, 1.0],
-            # near-degenerate: gaps at most 1e-9 merge into one level
+            # near-degenerate: each eigenvalue keeps its own weight
             [0.0, 4e-10, 8e-10, 1.0],
             [0.3, 0.3 + 1e-12, 2.0, 2.0 + 5e-10],
         ],
@@ -115,14 +115,14 @@ class TestFold:
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(len(values),) * 2) + 1j * rng.normal(size=(len(values),) * 2))
             obs = Observable.from_spectrum(values, q)
-            projectors = spectral_projectors(obs)
+            levels, projectors = spectral_projectors(obs)
             rho = random_density(rng, obs.dim).matrix
             sigmas = rng.uniform(0.1, 2.0, 4)
             xs = rng.uniform(-3.0, 3.0, 4)
             v = obs.eigenvectors
             folded, log_scale = fold(obs, sigmas, xs, v.conj().T @ rho @ v, np.zeros(1))
             for f, s, sigma, x in zip(folded, log_scale, sigmas, xs):
-                w = np.exp(log_amplitude_at(sigma, x, obs.levels))
+                w = np.exp(log_amplitude_at(sigma, x, levels))
                 k = np.einsum("g,gij->ij", w, projectors)
                 dense = k @ rho @ k
                 got = np.exp(s) * (v @ f @ v.conj().T)

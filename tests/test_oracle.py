@@ -207,7 +207,8 @@ def _reference_records(chain, samples, seed):
     # sample, in the current stage's eigenbasis: the Kraus update is the
     # elementwise product with w w^T, then U^dagger S U moves to the next
     # stage. It makes the same random draws in the same order, chunk by
-    # chunk of 65536 samples.
+    # chunk of 65536 samples. It picks one level, a distinct eigenvalue,
+    # where the sampler picks one eigenvector: the same law.
     rng = np.random.default_rng(seed)
     stages = chain.stages
     out = np.empty((samples, len(stages)))
@@ -219,16 +220,17 @@ def _reference_records(chain, samples, seed):
         for j, stage in enumerate(stages):
             obs = stage.observable
             diag = np.clip(np.einsum("cpp->cp", states).real, 0.0, None)
-            probs = np.zeros((count, obs.levels.size))
-            np.add.at(probs.T, obs.level_of, diag.T)
-            if obs.levels.size == 2:
+            levels, level_of = np.unique(obs.eigenvalues, return_inverse=True)
+            probs = np.zeros((count, levels.size))
+            np.add.at(probs.T, level_of, diag.T)
+            if levels.size == 2:
                 totals = probs[:, 0] + probs[:, 1]
                 comp = (rng.random(count) * totals >= probs[:, 0]).astype(np.intp)
             else:
                 cumulative = np.cumsum(probs, axis=1)
                 draws = rng.random(count) * cumulative[:, -1]
-                comp = np.minimum((cumulative < draws[:, None]).sum(axis=1), obs.levels.size - 1)
-            x = obs.levels[comp] + stage.sigma * rng.standard_normal(count)
+                comp = np.minimum((cumulative < draws[:, None]).sum(axis=1), levels.size - 1)
+            x = levels[comp] + stage.sigma * rng.standard_normal(count)
             out[start : start + count, j] = x
             if j + 1 == len(stages):
                 break

@@ -10,8 +10,8 @@ from seqmeas.joint import post_first_state
 
 class TestPresets:
     def test_operator_spectra(self):
-        np.testing.assert_allclose(spin.s_z().levels, [-0.5, 0.5])
-        np.testing.assert_allclose(spin.s_x().levels, [-0.5, 0.5])
+        np.testing.assert_allclose(spin.s_z().eigenvalues, [-0.5, 0.5])
+        np.testing.assert_allclose(spin.s_x().eigenvalues, [-0.5, 0.5])
 
     def test_plus_state_variances(self):
         assert abs(variance_of(spin.s_z(), spin.plus_state()) - 0.25) < 1e-15
