@@ -35,8 +35,13 @@ def _as_square_complex(matrix) -> np.ndarray:
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
+    # numpy makes a view writable again while an array it views is writable,
+    # and an array that owns its memory always: freeze the chain, return a view
+    base = array
+    while isinstance(base, np.ndarray):
+        base.setflags(write=False)
+        base = base.base
+    return array.view()
 
 
 def hermiticity_defect(matrix: np.ndarray):

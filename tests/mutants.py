@@ -127,11 +127,18 @@ CATALOGUE = (
     ),
     (
         # the renormalisation's totals stay at the workspace's full width, which
-        # a short last chunk's columns do not fill
-        "short-chunk-totals-full-width",
+        # a short last block's columns do not fill
+        "short-block-totals-full-width",
         "src/seqmeas/oracle.py",
-        "states /= states[:d].sum(axis=0, out=totals[:count])",
+        "states /= states[:d].sum(axis=0, out=totals[:c])",
         "states /= states[:d].sum(axis=0, out=totals)",
+    ),
+    (
+        # every block of a chunk picks with the first block's uniforms
+        "block-draws-not-offset",
+        "src/seqmeas/oracle.py",
+        "_pick_components(uniforms[j, cols],",
+        "_pick_components(uniforms[j, :c],",
     ),
     (
         "fig4-forward-free-index",

@@ -192,6 +192,28 @@ class TestFromMatrixChecks:
         assert not obs.matrix.flags.writeable
 
 
+class TestCannotBeMadeWritable:
+    """No array field can be made writable again, so shared observables stay shared values."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Observable.from_matrix(np.diag([1.0, 2.0])),
+            lambda: Observable.from_matrices(np.stack([np.eye(2), np.diag([1.0, 2.0])]))[1],
+            lambda: Observable.from_spectrum([1.0, 2.0], np.eye(2)),
+            lambda: Observable.from_spectrum([1.0, 2.0], np.eye(2), matrix=np.diag([1.0, 2.0])),
+            spin.s_z,
+            spin.s_x,
+        ],
+        ids=["from_matrix", "from_matrices", "from_spectrum", "from_spectrum_matrix", "s_z", "s_x"],
+    )
+    def test_setflags_write_raises(self, make):
+        obs = make()
+        for name in ("matrix", "eigenvalues", "eigenvectors"):
+            with pytest.raises(ValueError):
+                getattr(obs, name).setflags(write=True)
+
+
 class TestFromMatrices:
     """A stack gives what one ``from_matrix`` call per matrix gives, and raises what its loop raises first."""
 

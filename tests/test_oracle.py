@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from seqmeas.chain import chain_state, conditional_density_k
 from seqmeas.core import Observable
 from seqmeas.errors import QuadratureFailure, RejectionStall, ZeroLikelihood
 from seqmeas.oracle import (
+    _BLOCK,
+    _CHUNK,
     _pick_components,
     _sample_rejection,
     _split_density,
@@ -295,10 +298,14 @@ class TestSampleStream:
         got = sample_chain(chain, SamplerConfig(samples=70_000, seed=seed))
         assert np.array_equal(got, _reference_records(chain, 70_000, seed))
 
-    @pytest.mark.parametrize("samples", [1, 1 << 16, (1 << 17) + 1])
+    @pytest.mark.parametrize(
+        "samples", [1, 1 << 16, (1 << 17) + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK + _BLOCK + 1]
+    )
     def test_chunk_boundary_records(self, samples):
         # one sample, exactly one full chunk, and two full chunks and a
-        # one-sample chunk, which run on narrowed views of the workspace
+        # one-sample chunk, which run on narrowed views of the workspace;
+        # then one short block, one full block, a full block and a
+        # one-column block, and a second chunk of a full and a one-column block
         rng = np.random.default_rng(27_001)
         for dim in (2, 3):
             for n_stages in (1, 3, 4):
@@ -320,6 +327,33 @@ class TestSampleStream:
         assert not np.shares_memory(first, second)
 
 
+class TestSampleWorkspace:
+    def test_traced_peak_is_bounded(self):
+        # one 200k-sample call on 4 stages at d = 4: 6.1 MiB of records and
+        # 4 MiB of chunk-wide draws; the arithmetic's workspace is one block
+        # wide (a chunk-wide one peaked at 33.7 MiB)
+        chain = _random_chain(np.random.default_rng(31_001), 4, 4)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            sample_chain(chain, SamplerConfig(samples=200_000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 16 * 2**20, peak / 2**20
+
+
+def _pick(weights, count=None):
+    # the uniform draws of one default_rng(0) call, and fresh pick buffers
+    weights = np.array(weights, dtype=float)
+    count = weights.shape[1] if count is None else count
+    draws = np.random.default_rng(0).random(count)
+    return _pick_components(draws, weights, np.empty(count, dtype=np.intp), np.empty(count, dtype=bool))
+
+
 class TestPickComponents:
     @pytest.mark.parametrize("levels", [2, 3])
     def test_zero_total_raises(self, levels):
@@ -327,14 +361,14 @@ class TestPickComponents:
         weights = np.ones((levels, 5))
         weights[:, 3] = 0.0
         with pytest.raises(ZeroLikelihood, match="sample 3 sum to 0.0"):
-            _pick_components(np.random.default_rng(0), weights)
+            _pick(weights)
 
     @pytest.mark.parametrize("levels", [2, 3])
     def test_non_finite_total_raises(self, levels):
         weights = np.ones((levels, 5))
         weights[0, 1] = np.nan
         with pytest.raises(ZeroLikelihood, match="sample 1 sum to nan"):
-            _pick_components(np.random.default_rng(0), weights)
+            _pick(weights)
 
     @pytest.mark.parametrize("levels", [2, 3])
     @pytest.mark.parametrize("bad, text", [(np.inf, "inf"), (-1.0, "-1.0")])
@@ -343,29 +377,32 @@ class TestPickComponents:
         weights[:, 2] = 0.0
         weights[-1, 2] = bad
         with pytest.raises(ZeroLikelihood, match=f"sample 2 sum to {text}$"):
-            _pick_components(np.random.default_rng(0), weights)
+            _pick(weights)
 
     @pytest.mark.parametrize("levels", [2, 3])
     def test_shared_column_zero_total_raises(self, levels):
         # one column shared by four samples
         with pytest.raises(ZeroLikelihood, match="sample 0 sum to 0.0"):
-            _pick_components(np.random.default_rng(0), np.zeros((levels, 1)), 4)
+            _pick(np.zeros((levels, 1)), 4)
 
     def test_first_bad_sample_is_named(self):
         weights = np.ones((3, 6))
         weights[:, 4] = 0.0
         weights[1, 2] = np.nan
         with pytest.raises(ZeroLikelihood, match="sample 2 sum to nan"):
-            _pick_components(np.random.default_rng(0), weights)
+            _pick(weights)
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
     def test_workspace_gives_the_same_picks(self, levels):
         weights = np.random.default_rng(1).random((levels, 50))
-        work = np.empty(50), np.empty(50, dtype=np.intp), np.empty(50, dtype=bool)
-        plain = _pick_components(np.random.default_rng(2), weights)
-        # with a workspace, weights is overwritten by its cumulative sums
-        got = _pick_components(np.random.default_rng(2), weights.copy(), None, work)
+        draws = np.random.default_rng(2).random(50)
+        cumulative = np.cumsum(weights, axis=0)
+        plain = (cumulative[:-1] < draws * cumulative[-1]).sum(axis=0)
+        # the buffers are written in place: weights by its cumulative sums
+        work = weights.copy(), np.empty(50, dtype=np.intp), np.empty(50, dtype=bool)
+        got = _pick_components(draws, *work)
         assert np.array_equal(plain, got) and got is work[1]
+        assert np.array_equal(work[0], cumulative)
 
 
 class TestJackknife:
