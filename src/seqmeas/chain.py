@@ -27,7 +27,7 @@ import numpy as np
 from .core import DensityMatrix, Observable, check_states
 from .errors import DimensionMismatch, FirstFailure, VarianceInconsistency, ZeroLikelihood
 from .kraus import MeasurementStage, fold
-from .pointer import CENTERS, GaussianPairSum, check_coefficients, check_residue, moment_sums, moment_terms
+from .pointer import GaussianPairSum, check_coefficients, pair_mixture
 
 #: Extracted variances in [-EXTRACTED_CLAMP, 0) clamp to zero; below raises.
 EXTRACTED_CLAMP = 1e-9
@@ -124,20 +124,20 @@ class ChainResult:
 class ChainRows:
     """Conditional densities of the free outcome for ``B`` records at once.
 
-    Row ``i`` is the pair sum with coefficients ``coeffs[i]`` over the shared
-    centers, width ``sigma[i]`` and zeroth moment ``normalization[i]``.
-    ``stats`` holds array moments when they were computed.
+    Row ``i`` is the signed mixture with weights ``coeffs[i]`` over the
+    shared centers, width ``sigma[i]`` and zeroth moment
+    ``normalization[i]``. ``stats`` holds array moments when they were
+    computed.
     """
 
     coeffs: np.ndarray
-    centers_a: np.ndarray
-    centers_b: np.ndarray
+    centers: np.ndarray
     sigma: np.ndarray
     normalization: np.ndarray
     stats: ConditionalStats | None = None
 
     def density(self, i: int) -> GaussianPairSum:
-        return GaussianPairSum(self.coeffs[i], self.centers_a, self.centers_b, float(self.sigma[i]))
+        return GaussianPairSum(self.coeffs[i], self.centers, float(self.sigma[i]))
 
     def result(self, i: int) -> ChainResult:
         return ChainResult(
@@ -268,19 +268,13 @@ def effect_chain(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np
     return _change_basis(matrices, operator)[0], float(log_scale[0])
 
 
-def pair_centers(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centers of the ``d^2`` pair terms of a density over a full eigenbasis."""
-    d = eigenvalues.size
-    return np.repeat(eigenvalues, d), np.concatenate([eigenvalues] * d)
-
-
 def numerator_rows(
     rotations: Rotations,
     free_index: int,
     fixed: np.ndarray,
     sigmas: np.ndarray,
     rows: FirstFailure,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conditional-density numerators of the free outcome, one pair sum per record.
 
     ``fixed`` holds ``(B, N - 1)`` outcomes of the other stages and
@@ -294,8 +288,9 @@ def numerator_rows(
     The coefficients are ``rho * E^T`` with the state ``rho`` and the
     effect ``E`` both written in the free stage's eigenbasis: a Schur
     product of PSD factors, so the pair sum is a nonnegative density.
-    Returns the ``(n, d^2)`` coefficients of the live rows, the shared pair
-    centers and the ``(n,)`` free widths.
+    Returns the ``(n, d, d)`` coefficients of the live rows, the free
+    stage's ``(d,)`` eigenvalues and the ``(n,)`` free widths:
+    :func:`~seqmeas.pointer.pair_mixture` collapses them to a mixture.
     """
     n = rows.check(~np.isfinite(fixed).all(axis=-1), lambda i: ValueError("fixed outcomes must be finite"))
     free = free_index - 1
@@ -306,18 +301,26 @@ def numerator_rows(
     effect, _ = effect_chain_rows(rotations, fixed[:n, free:], sigmas[:n])
     effect = _change_basis(effect, (rotations.backs + (None,))[free])
     coeffs = rho[:n] * effect.swapaxes(-1, -2)
-    coeffs = coeffs.reshape(-1, coeffs.shape[-1] ** 2)
     if len(coeffs) != n:
         coeffs = np.repeat(coeffs, n, axis=0)
-    n = check_coefficients(coeffs, rows)
-    centers_a, centers_b = pair_centers(rotations.observables[free].eigenvalues)
-    return coeffs[:n], centers_a, centers_b, sigmas[:n, free]
+    n = check_coefficients(coeffs.reshape(n, -1), rows)
+    return coeffs[:n], rotations.observables[free].eigenvalues, sigmas[:n, free]
 
 
-def _pair_rows(chain, free_index, fixed, sigmas, rows: FirstFailure):
-    # the chain entry points check the query shape, then run the numerators
+def mixture_rows(rotations: Rotations, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure):
+    """:func:`numerator_rows` collapsed by :func:`~seqmeas.pointer.pair_mixture`.
+
+    Returns the ``(n, M)`` weights and ``(n,)`` widths of the live rows and the ``(M,)`` centers.
+    """
+    coeffs, eigenvalues, sigma = numerator_rows(rotations, free_index, fixed, sigmas, rows)
+    weights, centers = pair_mixture(coeffs, eigenvalues, sigma, rows)
+    return weights, centers, sigma[: len(weights)]
+
+
+def _mixture_rows(chain, free_index, fixed, sigmas, rows: FirstFailure):
+    # the chain entry points check the query shape, then run the collapsed numerators
     _check_query_shape(chain, free_index, fixed.shape[1])
-    return numerator_rows(Rotations.of(chain.initial_state, chain.observables), free_index, fixed, sigmas, rows)
+    return mixture_rows(Rotations.of(chain.initial_state, chain.observables), free_index, fixed, sigmas, rows)
 
 
 def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str | Sequence[str]) -> int:
@@ -350,26 +353,22 @@ def _moment_stats(m0, m1, c2, sigma, rows: FirstFailure) -> ConditionalStats:
 
 
 def pair_rows_moments(
-    coeffs, centers_a, centers_b, sigma, rows: FirstFailure, label: str | Sequence[str]
+    coeffs, centers, sigma, rows: FirstFailure, label: str | Sequence[str]
 ) -> tuple[np.ndarray, ConditionalStats]:
-    """Zeroth moments and conditional statistics of ``(B, T)`` pair-sum rows.
+    """Zeroth moments and conditional statistics of ``(B, M)`` mixture rows.
 
-    ``sigma`` holds each row's shared width. The centers are ``(T,)``,
-    shared by every row, or ``(B, T)``, one set per row; ``label`` is one
-    name for every row or one per row. The second moment of every
-    term carries the same additive ``sigma^2``, so the extracted variance
-    comes from the center spread alone instead of subtracting ``sigma^2``
-    from a possibly huge total. A row fails on the imaginary residue of a
-    moment, with :class:`ZeroLikelihood`
+    ``sigma`` holds each row's width. The centers are ``(M,)``, shared by
+    every row, or ``(B, M)``, one set per row; ``label`` is one name for
+    every row or one per row. The second moment of every term carries the
+    same additive ``sigma^2``, so the extracted variance comes from the
+    center spread alone instead of subtracting ``sigma^2`` from a possibly
+    huge total. A row fails with :class:`ZeroLikelihood`
     (``"<label> normalization ... too small"``) when its zeroth moment is
     not above 1e-300, or on the extracted-variance clamp.
     """
-    totals, scales = moment_sums(moment_terms(coeffs, centers_a, centers_b, sigma[:, None], (0, 1, CENTERS)))
-    m0, m1, c2 = totals.real
-    check_residue(totals[0], scales[0], rows)
-    check_normalization(m0, rows, label)
-    check_residue(totals[1], scales[1], rows)
-    n = check_residue(totals[2], scales[2], rows)
+    first = coeffs * centers
+    m0, m1, c2 = coeffs.sum(axis=-1), first.sum(axis=-1), (first * centers).sum(axis=-1)
+    n = check_normalization(m0, rows, label)
     stats = _moment_stats(m0[:n], m1[:n], c2[:n], sigma, rows)
     return m0[: rows.rows], stats
 
@@ -383,12 +382,10 @@ def conditional_density_rows(
     row runs the checks of :func:`conditional_density_k`; the result holds
     the live rows and the caller raises :meth:`FirstFailure.raise_first`.
     """
-    coeffs, centers_a, centers_b, sigma = _pair_rows(chain, free_index, fixed, sigmas, rows)
-    totals, scales = moment_sums(moment_terms(coeffs, centers_a, centers_b, sigma[:, None], (0,)))
-    check_residue(totals[0], scales[0], rows)
-    norm = totals.real[0]
+    weights, centers, sigma = _mixture_rows(chain, free_index, fixed, sigmas, rows)
+    norm = weights.sum(axis=-1)
     n = check_normalization(norm, rows, "conditional")
-    return ChainRows(coeffs[:n], centers_a, centers_b, sigma[:n], norm[:n])
+    return ChainRows(weights[:n], centers, sigma[:n], norm[:n])
 
 
 def conditional_density_k(
@@ -409,10 +406,10 @@ def conditional_stats_rows(
     chain: MeasurementChain, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure
 ) -> ChainRows:
     """:func:`conditional_density_rows` with the moments of every live row."""
-    coeffs, centers_a, centers_b, sigma = _pair_rows(chain, free_index, fixed, sigmas, rows)
-    norm, stats = pair_rows_moments(coeffs, centers_a, centers_b, sigma, rows, "conditional")
+    weights, centers, sigma = _mixture_rows(chain, free_index, fixed, sigmas, rows)
+    norm, stats = pair_rows_moments(weights, centers, sigma, rows, "conditional")
     n = rows.rows
-    return ChainRows(coeffs[:n], centers_a, centers_b, sigma[:n], norm, stats)
+    return ChainRows(weights[:n], centers, sigma[:n], norm, stats)
 
 
 def conditional_stats_k(chain: MeasurementChain, query: ChainQuery) -> ChainResult:

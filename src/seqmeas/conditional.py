@@ -6,7 +6,7 @@ second outcome reshapes the statistics of the already-recorded first one
 (noncausal backaction). Each is a 2-stage chain query on the engine of
 :mod:`seqmeas.chain`, free index 2 forward and 1 backward, run for a
 batch of rows by one core (:func:`two_stage_rows`). Both conditional
-densities are Gaussian pair sums in the free outcome, so their means and
+densities are signed Gaussian mixtures in the free outcome, so their means and
 variances are closed-form; numerical quadrature enters only as an
 independent oracle.
 """
@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import (
-    ConditionalStats, MeasurementChain, Rotations, chain_state, check_normalization, numerator_rows, pair_rows_moments,
+    ConditionalStats, MeasurementChain, Rotations, chain_state, check_normalization, mixture_rows, pair_rows_moments,
 )
 from .core import DensityMatrix, Observable, require_same_dim
 from .errors import FirstFailure
@@ -29,7 +29,7 @@ from .pointer import GaussianPairSum
 
 @dataclass(frozen=True)
 class ConditionalDensity:
-    """Conditional outcome density as a normalized Gaussian pair sum.
+    """Conditional outcome density as a normalized signed Gaussian mixture.
 
     ``direction`` is ``"forward"`` (second outcome given the first) or
     ``"backward"`` (first outcome given the second); ``conditioned_on`` is
@@ -79,8 +79,8 @@ def two_stage_rows(
     the caller raises :meth:`FirstFailure.raise_first`.
     """
     require_same_dim(observables[0].dim, observables[1].dim, rho0.dim)
-    numerator = numerator_rows(Rotations.of(rho0, observables), free_index, outcome[:, None], sigmas, rows)
-    return pair_rows_moments(*numerator, rows, DIRECTIONS[free_index][1])[1]
+    mixture = mixture_rows(Rotations.of(rho0, observables), free_index, outcome[:, None], sigmas, rows)
+    return pair_rows_moments(*mixture, rows, DIRECTIONS[free_index][1])[1]
 
 
 def _one_row(rho0, stage1, stage2, free_index, outcome, rows):
@@ -93,8 +93,8 @@ def _density(rho0, stage1, stage2, free_index, outcome) -> ConditionalDensity:
     require_same_dim(stage1.dim, stage2.dim, rho0.dim)
     rows, sigmas = FirstFailure(1), np.array([[stage1.sigma, stage2.sigma]])
     rotations = Rotations.of(rho0, (stage1.observable, stage2.observable))
-    coeffs, centers_a, centers_b, sigma = numerator_rows(rotations, free_index, _one(outcome)[:, None], sigmas, rows)
-    numerator = GaussianPairSum(coeffs[0], centers_a, centers_b, float(sigma[0]))
+    weights, centers, sigma = mixture_rows(rotations, free_index, _one(outcome)[:, None], sigmas, rows)
+    numerator = GaussianPairSum(weights[0], centers, float(sigma[0]))
     norm = numerator.moment(0)
     direction, label = DIRECTIONS[free_index]
     check_normalization(_one(norm), rows, label)
@@ -116,13 +116,6 @@ def conditional_state(
     return chain_state(MeasurementChain((stage1,), rho0), [x1])
 
 
-def marginal_density_x1(rho0: DensityMatrix, stage1: MeasurementStage) -> GaussianPairSum:
-    """Unconditional density of the first outcome: a plain Gaussian mixture."""
-    obs = stage1.observable
-    populations = np.einsum("ia,ij,ja->a", obs.eigenvectors.conj(), rho0.matrix, obs.eigenvectors).real
-    return GaussianPairSum.mixture(np.clip(populations, 0.0, None), obs.eigenvalues, stage1.sigma)
-
-
 def forward_density(
     rho0: DensityMatrix,
     stage1: MeasurementStage,
@@ -131,9 +124,9 @@ def forward_density(
 ) -> ConditionalDensity:
     """Density of the second outcome given the first: ``p(x2 | x1)``.
 
-    The numerator is the ``d^2``-term pair sum over the second observable's
-    eigenbasis, unnormalized: its diagonal terms weight the eigenvalues by the
-    conditional state, and its cross terms are zero up to rounding.
+    The numerator is the mixture over the second observable's eigenvalues
+    and their midpoints, unnormalized: the eigenvalues' weights are the
+    conditional state's populations, and the midpoints' weights are zero.
 
     Raises
     ------
@@ -165,9 +158,10 @@ def backward_density(
 ) -> ConditionalDensity:
     """Density of the first outcome given the second: ``p(x1 | x2)``.
 
-    The numerator is the pair sum over ``x1`` proportional to
-    ``Tr[rho_bar_1(x1) E(x2)]``, with coefficients ``rho * E^T`` in the
-    first observable's eigenbasis (:func:`~seqmeas.chain.numerator_rows`).
+    The numerator is the mixture over ``x1`` proportional to
+    ``Tr[rho_bar_1(x1) E(x2)]``, collapsed from the pair coefficients
+    ``rho * E^T`` in the first observable's eigenbasis
+    (:func:`~seqmeas.chain.numerator_rows`).
     """
     return _density(rho0, stage1, stage2, 1, x2)
 

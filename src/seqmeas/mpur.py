@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import Rotations, numerator_rows, pair_rows_moments
+from .chain import Rotations, mixture_rows, pair_rows_moments
 from .conditional import DIRECTIONS
 from .core import DensityMatrix, Observable, PureState, require_same_dim, unit_amplitudes
 from .errors import DegenerateDirection, FirstFailure, NotOrthogonal, SeqMeasError
@@ -219,17 +219,16 @@ def conditional_mpur_sum(
     # both directions share the initial state's rotation and the stage step
     rotations = Rotations.of(rho0, (stage1.observable, stage2.observable))
     outcomes, sigmas = np.array([[x1], [x2]], dtype=float), np.array([[stage1.sigma, stage2.sigma]])
-    # a forward numerator error raises at once; a backward one is row 1's
-    # and waits for the forward moment checks
-    rows, parts = FirstFailure(2), [numerator_rows(rotations, 2, outcomes[:1], sigmas, FirstFailure(1))]
+    # a forward numerator or collapse error raises at once; a backward one
+    # is row 1's and waits for the forward moment checks
+    rows, parts = FirstFailure(2), [mixture_rows(rotations, 2, outcomes[:1], sigmas, FirstFailure(1))]
     try:
-        parts.append(numerator_rows(rotations, 1, outcomes[1:], sigmas, FirstFailure(1)))
+        parts.append(mixture_rows(rotations, 1, outcomes[1:], sigmas, FirstFailure(1)))
     except (SeqMeasError, ValueError) as exc:
         rows.check(np.array([False, True]), lambda i: exc)
-    coeffs, centers_a, centers_b, sigma = zip(*parts)
+    weights, centers, sigma = zip(*parts)
     _, stats = pair_rows_moments(
-        np.concatenate(coeffs), np.stack(centers_a), np.stack(centers_b), np.concatenate(sigma),
-        rows, (DIRECTIONS[2][1], DIRECTIONS[1][1]),
+        np.concatenate(weights), np.stack(centers), np.concatenate(sigma), rows, (DIRECTIONS[2][1], DIRECTIONS[1][1])
     )
     rows.raise_first()
     forward, backward = stats.extracted_system_variance.tolist()

@@ -13,10 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainQuery, MeasurementChain, chain_state, conditional_density_k, pair_centers
-from .errors import QuadratureFailure, RejectionStall, ZeroLikelihood
+from .chain import ChainQuery, MeasurementChain, Rotations, chain_state, check_normalization, numerator_rows, one_row
+from .errors import FirstFailure, QuadratureFailure, RejectionStall, ZeroLikelihood
 from .kraus import MeasurementStage
-from .pointer import GaussianPairSum
+from .pointer import GaussianPairSum, pair_mixture, upper_pairs
 
 #: Algorithm identifier of the sample generator, recorded in output metadata.
 RNG_ALGORITHM = "PCG64"
@@ -213,10 +213,9 @@ def quad_moment(
 
 
 def pair_sum_domain(s: GaussianPairSum, pad_sigmas: float = 10.0) -> tuple[float, float]:
-    """Interval containing all pair centers with a ``pad_sigmas`` margin."""
-    centers = np.concatenate([s.centers_a, s.centers_b])
+    """Interval containing all centers with a ``pad_sigmas`` margin."""
     pad = pad_sigmas * s.sigma
-    return float(centers.min() - pad), float(centers.max() + pad)
+    return float(s.centers.min() - pad), float(s.centers.max() + pad)
 
 
 def quad_pair_sum_stats(
@@ -225,10 +224,9 @@ def quad_pair_sum_stats(
     """(normalization, mean, variance) of a pair sum by quadrature only.
 
     The moments 0, 1 and 2 share one adaptive pass, with breakpoints at
-    the pair centers; only ``s.value`` is used, never the moment formulas.
+    the centers; only ``s.value`` is used, never the moment formulas.
     """
-    centers = np.concatenate([s.centers_a, s.centers_b])
-    edges = _panel_edges(pair_sum_domain(s, cfg.domain_pad), centers)
+    edges = _panel_edges(pair_sum_domain(s, cfg.domain_pad), s.centers)
 
     def moments(x):
         v = s.value(x)
@@ -262,28 +260,21 @@ def _pick_components(draws: np.ndarray, weights: np.ndarray, comp: np.ndarray, f
     return comp
 
 
-def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each entry on or above the diagonal: the diagonal first."""
-    upper_p, upper_q = np.triu_indices(d, 1)
-    diag = np.arange(d)
-    return np.concatenate([diag, upper_p]), np.concatenate([diag, upper_q])
-
-
 def _hermitian_coords(matrices: np.ndarray) -> np.ndarray:
     """Real coordinates of Hermitian (..., d, d) matrices, shape (..., d^2).
 
     They are the diagonal, then the real parts of the upper triangle in
-    ``_pairs`` order, then its imaginary parts.
+    :func:`~seqmeas.pointer.upper_pairs` order, then its imaginary parts.
     """
     d = matrices.shape[-1]
-    entries = matrices[(...,) + _pairs(d)]
+    entries = matrices[(...,) + upper_pairs(d)]
     return np.concatenate([entries.real, entries[..., d:].imag], axis=-1)
 
 
 def _coord_rotation(u: np.ndarray) -> np.ndarray:
     """Real (d^2, d^2) matrix M with coords(U^dagger S U) = M @ coords(S)."""
     d = u.shape[0]
-    p, q = _pairs(d)
+    p, q = upper_pairs(d)
     # basis[k] is the Hermitian matrix whose coordinates are the k-th unit vector
     unit = np.concatenate([np.ones(p.size), np.full(p.size - d, 1j)])
     p, q = np.concatenate([p, p[d:]]), np.concatenate([q, q[d:]])
@@ -338,7 +329,7 @@ def sample_chain(chain: MeasurementChain, cfg: SamplerConfig) -> np.ndarray:
     n = cfg.samples
     stages = chain.stages
     d = chain.dim
-    p, q = _pairs(d)
+    p, q = upper_pairs(d)
     v0 = stages[0].observable.eigenvectors
     rho0 = _hermitian_coords(v0.conj().T @ chain.initial_state.normalized().matrix @ v0)
     rotations = [
@@ -411,18 +402,28 @@ def jackknife_variance_se(x: np.ndarray) -> tuple[float, float]:
     return float(variance), se
 
 
-def _split_density(density: GaussianPairSum):
-    cross = np.abs(density.centers_a - density.centers_b) > 1e-12
-    significant = np.abs(density.coeffs) > 1e-14 * np.abs(density.coeffs).max()
+def _conditional_coeffs(chain: MeasurementChain, query: ChainQuery) -> tuple[np.ndarray, np.ndarray, float]:
+    """numerator_rows' ``(d, d)`` coefficients of a query, the free eigenvalues and width, checked as for a density."""
+    fixed, sigmas = one_row(chain, query.fixed_outcomes)
+    query.validate_for(chain)
+    rows, rotations = FirstFailure(1), Rotations.of(chain.initial_state, chain.observables)
+    coeffs, eigenvalues, sigma = numerator_rows(rotations, query.free_index, fixed, sigmas, rows)
+    check_normalization(pair_mixture(coeffs, eigenvalues, sigma, rows)[0].sum(axis=-1), rows, "conditional")
+    return coeffs[0], eigenvalues, float(sigma[0])
+
+
+def _split_density(coeffs: np.ndarray, eigenvalues: np.ndarray):
+    # the significant pair terms of (d, d) coefficients over two distinct eigenvalues
+    cross = np.abs(eigenvalues[:, None] - eigenvalues) > 1e-12
+    significant = np.abs(coeffs) > 1e-14 * np.abs(coeffs).max()
     return cross & significant
 
 
-def _sample_direct(rng, density: GaussianPairSum, n: int) -> np.ndarray:
-    diagonal = np.abs(density.centers_a - density.centers_b) <= 1e-12
-    keep = diagonal & (density.coeffs.real > 0)
-    weights = density.coeffs.real[keep]
-    centers = density.centers_a[keep]
-    sigma = density.sigma
+def _sample_direct(rng, coeffs: np.ndarray, eigenvalues: np.ndarray, sigma: float, n: int) -> np.ndarray:
+    diagonal = np.abs(eigenvalues[:, None] - eigenvalues) <= 1e-12
+    keep = diagonal & (coeffs.real > 0)
+    weights = coeffs.real[keep]
+    centers = np.broadcast_to(eigenvalues[:, None], coeffs.shape)[keep]
     probs = weights / weights.sum()
     comp = rng.choice(probs.size, size=n, p=probs)
     return centers[comp] + sigma * rng.standard_normal(n)
@@ -430,15 +431,13 @@ def _sample_direct(rng, density: GaussianPairSum, n: int) -> np.ndarray:
 
 def _sample_rejection(
     rng,
-    density: GaussianPairSum,
+    coeff_matrix: np.ndarray,
+    sigma: float,
     proposal_weights: np.ndarray,
     proposal_centers: np.ndarray,
     n: int,
 ) -> np.ndarray:
-    sigma = density.sigma
-    centers_a, centers_b = pair_centers(proposal_centers)
-    if not (np.array_equal(density.centers_a, centers_a) and np.array_equal(density.centers_b, centers_b)):
-        raise ValueError("density terms must pair the proposal centers")
+    # the target's (d, d) pair coefficients are over the proposal centers
     support = proposal_weights > 1e-300
     weights = proposal_weights[support] / proposal_weights[support].sum()
     centers = proposal_centers[support]
@@ -447,8 +446,6 @@ def _sample_rejection(
 
     # rigorous envelope: v^T C v <= lam_max(C) * sum_i psi_i^2 and the
     # proposal mixture dominates that sum by its smallest weight
-    dim = proposal_centers.size
-    coeff_matrix = density.coeffs.reshape(dim, dim)
     lam_max = float(np.linalg.eigvalsh(coeff_matrix)[-1].real)
     envelope = 1.1 * lam_max / float(weights.min())
 
@@ -486,21 +483,14 @@ def mc_conditional_variance(
     the sample variance and its jackknife standard error.
     """
     rng = make_rng(cfg)
-    density, _ = conditional_density_k(chain, query)
-    if not _split_density(density).any():
-        samples = _sample_direct(rng, density, cfg.samples)
+    coeffs, eigenvalues, sigma = _conditional_coeffs(chain, query)
+    if not _split_density(coeffs, eigenvalues).any():
+        samples = _sample_direct(rng, coeffs, eigenvalues, sigma, cfg.samples)
     else:
         rho_before = chain_state(chain, query.outcomes_before())
-        free_stage = chain.stages[query.free_index - 1]
-        v = free_stage.observable.eigenvectors
+        v = chain.stages[query.free_index - 1].observable.eigenvectors
         rho_diag = np.clip(
             np.diag(v.conj().T @ rho_before.matrix @ v).real, 0.0, None
         )
-        samples = _sample_rejection(
-            rng,
-            density,
-            rho_diag / rho_diag.sum(),
-            free_stage.observable.eigenvalues,
-            cfg.samples,
-        )
+        samples = _sample_rejection(rng, coeffs, sigma, rho_diag / rho_diag.sum(), eigenvalues, cfg.samples)
     return jackknife_variance_se(samples)

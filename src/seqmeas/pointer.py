@@ -3,20 +3,23 @@
 Every pointer-space integral in the measurement models reduces to moments
 of products ``psi(x - a) psi(x - a')`` of two shifted copies of the same
 Gaussian amplitude. This module provides that closed-form kernel: single
-amplitudes, pairwise overlaps, and moments of weighted sums of amplitude
-pairs. Position is dimensionless and hbar = 1 throughout.
+amplitudes, pairwise overlaps, and the signed Gaussian mixtures that
+weighted sums of amplitude pairs collapse to. Position is dimensionless
+and hbar = 1 throughout.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .core import _frozen
 from .errors import FirstFailure, InvalidOrder, NonHermitianSum
 
-#: Relative imaginary residue above which a pair-sum moment is rejected.
+#: Relative imaginary residue above which :func:`pair_mixture` rejects a row.
 HERMITIAN_RESIDUE_TOL = 1e-8
 
 
@@ -80,74 +83,58 @@ def pair_moment(pointer: Pointer, a: float, aprime: float, n: int) -> float:
 
 
 class GaussianPairSum:
-    """Finite sum of weighted Gaussian amplitude pairs at one pointer width.
+    """Signed Gaussian mixture ``sum_k c_k N(x; m_k, sigma^2)`` at one pointer width.
 
-    Every term ``c * psi(x - a) psi(x - a')`` shares the width ``sigma`` of
-    the stage whose eigenvalues it pairs. Hermitian symmetry is expected:
-    for every term ``(c, a, a')`` the sum must contain ``(conj(c), a', a)``
-    (possibly the same term when ``a == a'`` and ``c`` is real). That
-    guarantees real values and real moments; :meth:`moment` enforces it via
-    the imaginary residue.
+    Every density the engine builds is a sum of amplitude pairs
+    ``C_pq psi(x - a_p) psi(x - a_q)``, and each pair is
+    ``exp(-(a_p - a_q)^2 / (8 sigma^2)) N(x; (a_p + a_q) / 2, sigma^2)``, so
+    the sum is this real mixture over the pair midpoints (:func:`pair_mixture`).
+    The weights ``coeffs`` may be negative. The arrays are frozen copies of
+    the caller's.
     """
 
-    __slots__ = ("coeffs", "centers_a", "centers_b", "sigma")
+    __slots__ = ("coeffs", "centers", "sigma")
 
-    def __init__(self, coeffs, centers_a, centers_b, sigma):
-        self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        self.centers_a = np.atleast_1d(np.asarray(centers_a, dtype=float))
-        self.centers_b = np.atleast_1d(np.asarray(centers_b, dtype=float))
+    def __init__(self, coeffs, centers, sigma):
+        self.coeffs = _frozen(np.array(coeffs, dtype=float, ndmin=1))
+        self.centers = _frozen(np.array(centers, dtype=float, ndmin=1))
         self.sigma = Pointer(sigma).sigma
-        shapes = {a.shape for a in (self.coeffs, self.centers_a, self.centers_b)}
-        if len(shapes) != 1:
-            raise ValueError(f"field lengths disagree: {shapes}")
+        if self.coeffs.shape != self.centers.shape:
+            raise ValueError(f"field lengths disagree: {self.coeffs.shape} and {self.centers.shape}")
         check_coefficients(self.coeffs[None], FirstFailure(1))
-        for arr in (self.coeffs, self.centers_a, self.centers_b):
-            arr.setflags(write=False)
 
     @classmethod
     def mixture(cls, weights: Sequence[float], centers: Sequence[float], sigma: float) -> "GaussianPairSum":
-        """Diagonal sum ``sum_i w_i psi(x - c_i)^2``: a plain Gaussian mixture."""
-        centers = np.asarray(centers, dtype=float)
-        return cls(np.asarray(weights, dtype=complex), centers, centers, sigma)
-
-    def __len__(self) -> int:
-        return self.coeffs.size
+        """The sum ``sum_i w_i psi(x - c_i)^2``; the same as the constructor."""
+        return cls(weights, centers, sigma)
 
     def value(self, x):
-        """Pointwise value of the sum; real by Hermitian symmetry."""
+        """Pointwise value of the sum."""
         x = np.asarray(x, dtype=float)
-        xa = x[..., None] - self.centers_a
-        xb = x[..., None] - self.centers_b
+        z = x[..., None] - self.centers
         s2 = self.sigma * self.sigma
         # numpy's power, not Python's float power: the two round differently
-        gauss = np.power(2.0 * np.pi * s2, -0.5) * np.exp(-(xa * xa + xb * xb) / (4.0 * s2))
-        out = (self.coeffs * gauss).sum(axis=-1)
-        return out.real if out.ndim else float(out.real)
+        out = (self.coeffs * (np.power(2.0 * np.pi * s2, -0.5) * np.exp(-(z * z) / (2.0 * s2)))).sum(axis=-1)
+        return out if out.ndim else float(out)
 
     def moment(self, n: int) -> float:
         """Moment ``int x^n * value(x) dx`` of the (unnormalized) sum."""
-        return self._moment(n)
-
-    def _moment(self, n) -> float:
-        # the (1, T) terms of one order are a one-row batch
-        terms = moment_terms(self.coeffs, self.centers_a, self.centers_b, self.sigma, (n,))
-        totals, scales = moment_sums(terms)
-        check_residue(totals, scales, FirstFailure(1))
-        return float(totals.real[0])
+        if n not in (0, 1, 2):
+            raise InvalidOrder(f"moment order must be 0, 1 or 2, got {n!r}")
+        c, m = self.coeffs, self.centers
+        if n == 1:
+            c = c * m
+        elif n == 2:
+            c = c * (m * m + self.sigma * self.sigma)
+        return float(c.sum())
 
     def center_second_moment(self) -> float:
         """Like ``moment(2)`` but without the ``sigma^2`` offset every term carries.
 
-        This isolates the spread of the pair centers, so conditional
-        variances can be extracted without subtracting two nearly equal
-        numbers.
+        This isolates the spread of the centers, so conditional variances
+        can be extracted without subtracting two nearly equal numbers.
         """
-        return self._moment(CENTERS)
-
-
-#: Moment order of :func:`moment_terms` for the center spread alone: the
-#: second moment without the per-term ``sigma^2`` offset.
-CENTERS = "centers"
+        return float((self.coeffs * self.centers * self.centers).sum())
 
 
 def check_coefficients(coeffs: np.ndarray, rows: FirstFailure) -> int:
@@ -157,46 +144,41 @@ def check_coefficients(coeffs: np.ndarray, rows: FirstFailure) -> int:
     )
 
 
-def moment_terms(coeffs, centers_a, centers_b, sigma, orders) -> np.ndarray:
-    """Per-term contributions to each moment in ``orders`` (0, 1, 2 or :data:`CENTERS`).
+@functools.cache
+def upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each entry on or above the diagonal of a ``(d, d)`` matrix: the diagonal first."""
+    upper_p, upper_q = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    return _frozen(np.concatenate([diag, upper_p])), _frozen(np.concatenate([diag, upper_q]))
 
-    ``coeffs`` may carry a leading batch axis; centers are shared by every
-    row and ``sigma`` (one width, or one per row as a ``(B, 1)`` column)
-    broadcasts against the coefficients. Returns one stacked array with the
-    orders along the first axis.
+
+def pair_mixture(coeffs, eigenvalues, sigma, rows: FirstFailure) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse ``(B, d, d)`` pair coefficients to :class:`GaussianPairSum` weights.
+
+    Row ``b`` is the pair sum ``sum_pq C[b, p, q] psi(x - a_p) psi(x - a_q)``
+    over the ``(d,)`` eigenvalues ``a`` at width ``sigma[b]``. Pairs
+    ``(p, q)`` and ``(q, p)`` share a midpoint, so the ``d^2`` terms collapse
+    to ``d(d + 1) / 2`` real weights at the centers: the eigenvalues, then
+    the midpoints of the upper triangle in :func:`upper_pairs` order.
+    Hermitian symmetry ``C[q, p] = conj(C[p, q])`` makes the weights real; a
+    row whose overlap-weighted imaginary residue exceeds
+    :data:`HERMITIAN_RESIDUE_TOL` of the overlap-weighted ``sum |C|`` fails
+    with :class:`NonHermitianSum`. Returns the ``(n, M)`` weights of the live
+    rows and the ``(M,)`` centers.
     """
-    for n in orders:
-        if n not in (0, 1, 2, CENTERS):
-            raise InvalidOrder(f"moment order must be 0, 1 or 2, got {n!r}")
-    d = centers_a - centers_b
-    weighted = coeffs * np.exp(-(d * d) / (8.0 * sigma * sigma))
-    mu = 0.5 * (centers_a + centers_b)
-    first = weighted * mu
-    terms = []
-    for n in orders:
-        if n == 0:
-            terms.append(weighted * np.ones_like(mu))
-        elif n == 1:
-            terms.append(first)
-        elif n == 2:
-            terms.append(weighted * (mu * mu + sigma * sigma))
-        else:
-            terms.append(first * mu)
-    return np.stack(terms)
-
-
-def moment_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex sums of moment terms over their last axis, and absolute scales."""
-    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
-
-
-def check_residue(totals: np.ndarray, scales: np.ndarray, rows: FirstFailure) -> int:
-    """Reject rows whose moment has an imaginary part above :data:`HERMITIAN_RESIDUE_TOL`
-    of its scale, with :class:`NonHermitianSum`; returns live rows."""
-    return rows.check(
-        np.abs(totals.imag) > HERMITIAN_RESIDUE_TOL * np.maximum(scales, 1e-300),
-        lambda i: NonHermitianSum(
-            f"imaginary residue {totals.imag[i]:.3e} against scale {scales[i]:.3e}"
-        ),
+    p, q = upper_pairs(len(eigenvalues))
+    upper, lower = coeffs[:, p, q], coeffs[:, q, p]
+    pairs = upper + lower
+    gap = eigenvalues[p] - eigenvalues[q]
+    width = sigma[:, None]
+    overlap = np.exp(-(gap * gap) / ((8.0 * width) * width))
+    residue = (np.abs(pairs.imag) * overlap).sum(axis=-1)
+    scale = ((np.abs(upper) + np.abs(lower)) * overlap).sum(axis=-1)
+    n = rows.check(
+        residue > HERMITIAN_RESIDUE_TOL * np.maximum(scale, 1e-300),
+        lambda i: NonHermitianSum(f"imaginary residue {residue[i]:.3e} against scale {scale[i]:.3e}"),
     )
-
+    weights = pairs.real[:n] * overlap[:n]
+    # the diagonal pairs counted C[p, p] twice
+    weights[:, : len(eigenvalues)] *= 0.5
+    return weights, 0.5 * (eigenvalues[p] + eigenvalues[q])

@@ -15,13 +15,8 @@ from . import chain as chain_mod
 from . import conditional, joint, mpur, spin
 from .core import DensityMatrix, Observable, PureState, variance_of
 from .kraus import MeasurementStage, completeness_defect, effect_at, kraus_at
-from .oracle import (
-    QuadratureConfig,
-    pair_sum_domain,
-    quad_moment,
-    quad_pair_sum_stats,
-)
-from .pointer import GaussianPairSum, Pointer, overlap, pair_moment
+from .oracle import QuadratureConfig, quad_moment, quad_pair_sum_stats
+from .pointer import Pointer, amplitude, overlap, pair_moment
 
 
 @dataclass(frozen=True)
@@ -64,10 +59,10 @@ def _suite_pointer(seed: int, trials: int) -> list[CheckResult]:
         a, b = rng.uniform(-2.0, 2.0, size=2)
         n = int(rng.integers(0, 3))
         analytic = pair_moment(p, a, b, n)
-        pair = GaussianPairSum([1.0], [a], [b], p.sigma)
+        pad = cfg.domain_pad * p.sigma
         numeric = quad_moment(
-            pair.value,
-            pair_sum_domain(pair, cfg.domain_pad),
+            lambda x: amplitude(p, x, a) * amplitude(p, x, b),
+            (min(a, b) - pad, max(a, b) + pad),
             n,
             cfg,
             points=[a, b],

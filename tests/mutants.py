@@ -141,6 +141,18 @@ CATALOGUE = (
         "_pick_components(uniforms[j, :c],",
     ),
     (
+        "mixture-midpoint-at-left-center",
+        "src/seqmeas/pointer.py",
+        "return weights, 0.5 * (eigenvalues[p] + eigenvalues[q])",
+        "return weights, eigenvalues[p]",
+    ),
+    (
+        "mixture-overlap-width-halved",
+        "src/seqmeas/pointer.py",
+        "np.exp(-(gap * gap) / ((8.0 * width) * width))",
+        "np.exp(-(gap * gap) / ((4.0 * width) * width))",
+    ),
+    (
         "fig4-forward-free-index",
         "src/seqmeas/cli.py",
         "two_stage_rows(rho0, (sz, sx), 1, x2, sigmas, r)",

@@ -31,9 +31,8 @@ from seqmeas import (
     sample_chain,
 )
 from seqmeas import spin
-from seqmeas.conditional import marginal_density_x1
+from seqmeas.chain import conditional_density_k
 from seqmeas.oracle import quad_pair_sum_stats
-from seqmeas.pointer import GaussianPairSum
 from seqmeas.validate import SUITES, random_density, random_observable, random_pure
 
 RHO0 = spin.plus_state()
@@ -191,9 +190,9 @@ def _criterion_04_body(master_seed: int, n_draws: int, mc_samples: int):
 
         law1 = pointer1_variance(rho, s1)
         law2 = pointer2_variance(rho, s1, s2)
-        marginal1 = marginal_density_x1(rho, s1)
+        marginal1, _ = conditional_density_k(MeasurementChain((s1,), rho), ChainQuery(1, ()))
         rho1 = post_first_state(rho, s1)
-        marginal2 = marginal_density_x1(rho1, s2)
+        marginal2, _ = conditional_density_k(MeasurementChain((s2,), rho1), ChainQuery(1, ()))
         for label, law, marginal in (("x1", law1, marginal1), ("x2", law2, marginal2)):
             m0 = marginal.moment(0)
             mean = marginal.moment(1) / m0

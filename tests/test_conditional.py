@@ -3,6 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from seqmeas import (
+    ChainQuery,
+    MeasurementChain,
     MeasurementStage,
     Pointer,
     ZeroLikelihood,
@@ -13,8 +15,7 @@ from seqmeas import (
     forward_stats,
 )
 from seqmeas import spin
-from seqmeas.chain import pair_rows_moments
-from seqmeas.conditional import marginal_density_x1
+from seqmeas.chain import conditional_density_k, pair_rows_moments
 from seqmeas.errors import FirstFailure, VarianceInconsistency
 from seqmeas.joint import post_first_state
 from seqmeas.validate import random_density, random_observable
@@ -28,16 +29,15 @@ def density_moments(density, lo, hi, pts):
 
 
 def mixture_weights(density):
-    """Level weights of a forward density: its diagonal pair terms, normalized.
+    """Level weights of a spin forward density: its first two weights, normalized.
 
-    The numerator pairs every two levels of the second observable; its cross
-    terms (centers_a != centers_b) are zero up to rounding and are skipped.
+    The numerator's centers are the two levels of the second observable,
+    then their midpoint, whose weight is zero and skipped.
     """
     num = density.numerator
-    diagonal = num.centers_a == num.centers_b
     return {
         round(float(c), 6): w / density.normalization
-        for c, w in zip(num.centers_a[diagonal], num.coeffs.real[diagonal])
+        for c, w in zip(num.centers[:2], num.coeffs[:2])
     }
 
 
@@ -59,9 +59,9 @@ class TestConditionalState:
 
     def test_trace_is_marginal_likelihood(self, plus, sz_stage):
         stage = sz_stage(0.5)
-        marginal = marginal_density_x1(plus, stage)
+        marginal, norm = conditional_density_k(MeasurementChain((stage,), plus), ChainQuery(1, ()))
         for x1 in (-1.0, 0.0, 0.4, 2.0):
-            assert abs(conditional_state(plus, stage, x1).trace - marginal.value(x1)) < 1e-14
+            assert abs(conditional_state(plus, stage, x1).trace - marginal.value(x1) / norm) < 1e-14
 
     def test_far_outcome_stays_finite(self, plus, sz_stage):
         rbar = conditional_state(plus, sz_stage(0.5), 40.0)
@@ -141,9 +141,9 @@ class TestBackward:
 
     def test_weak_second_stage_gives_marginal(self, plus, sz_stage, sx_stage):
         density = backward_density(plus, sz_stage(0.5), sx_stage(1e6), 0.3)
-        marginal = marginal_density_x1(plus, sz_stage(0.5))
+        marginal, norm = conditional_density_k(MeasurementChain((sz_stage(0.5),), plus), ChainQuery(1, ()))
         for x1 in np.linspace(-1.5, 1.5, 9):
-            assert abs(density.pdf(x1) - marginal.value(x1)) < 1e-8
+            assert abs(density.pdf(x1) - marginal.value(x1) / norm) < 1e-8
 
     def test_stats_spot_values(self, plus, sz_stage, sx_stage):
         got = backward_stats(plus, sz_stage(0.5), sx_stage(0.5), 0.5)
@@ -181,13 +181,13 @@ class TestBackward:
 class TestExtractedClampPolicy:
     @staticmethod
     def stats(m0, m1, c2, sigma=0.5):
-        # one pair-sum row of diagonal terms at centers 0, 1 and 2 whose
-        # zeroth moment, first moment and center spread are m0, m1 and c2
+        # one mixture row at centers 0, 1 and 2 whose zeroth moment,
+        # first moment and center spread are m0, m1 and c2
         r = (c2 - m1) / 2
         q = m1 - 2 * r
-        coeffs = np.array([[m0 - q - r, q, r]], dtype=complex)
+        coeffs = np.array([[m0 - q - r, q, r]])
         centers = np.array([0.0, 1.0, 2.0])
-        return pair_rows_moments(coeffs, centers, centers, np.array([sigma]), FirstFailure(1), "density")[1]
+        return pair_rows_moments(coeffs, centers, np.array([sigma]), FirstFailure(1), "density")[1]
 
     def test_sub_roundoff_negative_clamps_with_flag(self):
         stats = self.stats(m0=1.0, m1=0.5, c2=0.25 - 1e-10)

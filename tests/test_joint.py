@@ -3,8 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from seqmeas import (
+    ChainQuery,
     DimensionMismatch,
     GaussianPairSum,
+    MeasurementChain,
     MeasurementStage,
     Observable,
     Pointer,
@@ -16,15 +18,14 @@ from seqmeas import (
     variance_of,
 )
 from seqmeas import spin
-from seqmeas.conditional import marginal_density_x1
+from seqmeas.chain import conditional_density_k
 from seqmeas.validate import random_density, random_observable
 
 
 def mixture_variance_by_quadrature(s: GaussianPairSum) -> float:
-    centers = np.concatenate([s.centers_a, s.centers_b])
     pad = 12 * s.sigma
-    lo, hi = centers.min() - pad, centers.max() + pad
-    pts = sorted(set(centers.tolist()))
+    lo, hi = s.centers.min() - pad, s.centers.max() + pad
+    pts = sorted(set(s.centers.tolist()))
     m = [quad(lambda x: x**n * s.value(x), lo, hi, points=pts, limit=200)[0] for n in (0, 1, 2)]
     return m[2] / m[0] - (m[1] / m[0]) ** 2
 
@@ -80,7 +81,7 @@ class TestPointer1Variance:
             stage = MeasurementStage(
                 Observable.from_matrix(np.diag([0.0, 1.0, 2.0])), Pointer(float(rng.uniform(0.3, 1.5)))
             )
-            marginal = marginal_density_x1(rho, stage)
+            marginal, _ = conditional_density_k(MeasurementChain((stage,), rho), ChainQuery(1, ()))
             analytic = marginal.moment(2) / marginal.moment(0) - (
                 marginal.moment(1) / marginal.moment(0)
             ) ** 2

@@ -30,6 +30,7 @@ from seqmeas.errors import QuadratureFailure, RejectionStall, ZeroLikelihood
 from seqmeas.oracle import (
     _BLOCK,
     _CHUNK,
+    _conditional_coeffs,
     _pick_components,
     _sample_rejection,
     _split_density,
@@ -37,8 +38,14 @@ from seqmeas.oracle import (
     pair_sum_domain,
     quad_pair_sum_stats,
 )
-from seqmeas.pointer import GaussianPairSum, Pointer as _P, pair_moment
+from seqmeas.pointer import Pointer as _P, amplitude, pair_moment
 from seqmeas.validate import random_density, random_hermitian, random_observable, random_pure
+
+
+def _pair_term(sigma, a, b):
+    """``psi(x - a) psi(x - b)`` and its domain: both centers with ten widths each side, as ``pair_sum_domain``."""
+    p = _P(sigma)
+    return (lambda x: amplitude(p, x, a) * amplitude(p, x, b)), (min(a, b) - 10.0 * sigma, max(a, b) + 10.0 * sigma)
 
 
 class TestQuadMoment:
@@ -51,10 +58,8 @@ class TestQuadMoment:
             sigma = float(rng.uniform(0.05, 3.0))
             a, b = rng.uniform(-2, 2, size=2)
             n = int(rng.integers(0, 3))
-            s = GaussianPairSum([1.0], [a], [b], sigma)
-            numeric = quad_moment(
-                s.value, pair_sum_domain(s), n, points=[a, b]
-            )
+            f, domain = _pair_term(sigma, a, b)
+            numeric = quad_moment(f, domain, n, points=[a, b])
             analytic = pair_moment(_P(sigma), a, b, n)
             assert abs(numeric - analytic) <= 1e-8 * max(1.0, abs(analytic))
 
@@ -114,10 +119,10 @@ class TestQuadpackCrossCheck:
         for _ in range(30):
             sigma = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
             a, b = rng.uniform(-2, 2, size=2)
-            s = GaussianPairSum([1.0], [a], [b], sigma)
+            f, domain = _pair_term(sigma, a, b)
             for n in (0, 1, 2):
-                ref = _quadpack_moment(s.value, pair_sum_domain(s), n, [a, b])
-                assert _close_to_quadpack(quad_moment(s.value, pair_sum_domain(s), n, points=[a, b]), ref)
+                ref = _quadpack_moment(f, domain, n, [a, b])
+                assert _close_to_quadpack(quad_moment(f, domain, n, points=[a, b]), ref)
 
     def test_chain_conditional_stats(self, rng):
         for _ in range(20):
@@ -140,8 +145,7 @@ class TestQuadpackCrossCheck:
             density, _ = conditional_density_k(chain, ChainQuery(free, fixed))
             m0, m1, m2 = (
                 _quadpack_moment(
-                    density.value, pair_sum_domain(density), n,
-                    np.concatenate([density.centers_a, density.centers_b]),
+                    density.value, pair_sum_domain(density), n, density.centers,
                 )
                 for n in (0, 1, 2)
             )
@@ -422,17 +426,17 @@ class TestJackknife:
         assert abs(se_half / se_full - np.sqrt(2.0)) < 0.2 * np.sqrt(2.0)
 
 
-def _reference_rejection(rng, density, proposal_weights, proposal_centers, n):
-    # The rejection sampler with the target from density.value (d^2 pair
-    # Gaussians per proposal) and the proposal pdf from one exp per support
-    # level, both with the normalization constant. It makes the same draws
-    # in the same order; returns the samples and the number of batches.
+def _reference_rejection(rng, coeffs, density, proposal_weights, proposal_centers, n):
+    # The rejection sampler with the target from density.value (the mixture
+    # of the (d, d) pair coefficients coeffs) and the proposal pdf from one
+    # exp per support level, both with the normalization constant. It makes
+    # the same draws in the same order; returns the samples and the number
+    # of batches.
     sigma = density.sigma
     support = proposal_weights > 1e-300
     weights = proposal_weights[support] / proposal_weights[support].sum()
     centers = proposal_centers[support]
-    dim = int(np.sqrt(density.coeffs.size))
-    lam_max = float(np.linalg.eigvalsh(density.coeffs.reshape(dim, dim))[-1].real)
+    lam_max = float(np.linalg.eigvalsh(coeffs)[-1].real)
     envelope = 1.1 * lam_max / float(weights.min())
     norm_const = (2.0 * np.pi * sigma * sigma) ** -0.5
     accepted, got, proposed = [], 0, 0
@@ -455,24 +459,25 @@ def _reference_rejection(rng, density, proposal_weights, proposal_centers, n):
 
 
 def _rejection_args(chain, query):
-    # what mc_conditional_variance hands to the rejection sampler
+    # what mc_conditional_variance hands to the rejection sampler, with the query's density
+    coeffs, _, _ = _conditional_coeffs(chain, query)
     density, _ = conditional_density_k(chain, query)
     rho = chain_state(chain, query.outcomes_before()).matrix
     obs = chain.stages[query.free_index - 1].observable
     v = obs.eigenvectors
     diag = np.clip(np.diag(v.conj().T @ rho @ v).real, 0.0, None)
-    return density, diag / diag.sum(), obs.eigenvalues
+    return coeffs, density, diag / diag.sum(), obs.eigenvalues
 
 
 class TestRejectionStream:
     """Post-selected samples equal those of the pair-Gaussian reference sampler."""
 
     def assert_same_stream(self, chain, query, samples, seed):
-        density, weights, centers = _rejection_args(chain, query)
-        assert _split_density(density).any()
-        got = _sample_rejection(np.random.default_rng(seed), density, weights, centers, samples)
+        coeffs, density, weights, centers = _rejection_args(chain, query)
+        assert _split_density(coeffs, centers).any()
+        got = _sample_rejection(np.random.default_rng(seed), coeffs, density.sigma, weights, centers, samples)
         want, batches = _reference_rejection(
-            np.random.default_rng(seed), density, weights, centers, samples
+            np.random.default_rng(seed), coeffs, density, weights, centers, samples
         )
         assert np.array_equal(got, want)
         cfg = SamplerConfig(samples=samples, seed=seed)
@@ -511,12 +516,6 @@ class TestRejectionStream:
         chain = MeasurementChain((sz_stage(0.5), sx_stage(0.5)), plus)
         _, batches = self.assert_same_stream(chain, ChainQuery(1, (0.5,)), 40_000, 12)
         assert batches >= 4
-
-    def test_rejects_density_of_other_centers(self, plus, sz_stage, sx_stage):
-        chain = MeasurementChain((sz_stage(0.5), sx_stage(0.5)), plus)
-        density, weights, centers = _rejection_args(chain, ChainQuery(1, (0.5,)))
-        with pytest.raises(ValueError, match="pair the proposal centers"):
-            _sample_rejection(np.random.default_rng(0), density, weights, centers + 0.1, 100)
 
 
 class TestMcConditionalVariance:

@@ -7,12 +7,16 @@ from scipy.integrate import quad
 from seqmeas import (
     GaussianPairSum,
     InvalidOrder,
+    MeasurementChain,
     NonHermitianSum,
     Pointer,
     amplitude,
     overlap,
     pair_moment,
 )
+from seqmeas.chain import conditional_density_rows
+from seqmeas.errors import FirstFailure
+from seqmeas.pointer import pair_mixture
 
 finite_centers = st.floats(min_value=-3.0, max_value=3.0)
 sigmas = st.floats(min_value=0.05, max_value=5.0)
@@ -108,7 +112,7 @@ class TestPairMoment:
 
 class TestGaussianPairSum:
     def test_single_normalized_term(self):
-        s = GaussianPairSum([1.0], [0.0], [0.0], 1.0)
+        s = GaussianPairSum([1.0], [0.0], 1.0)
         assert abs(s.moment(0) - 1.0) < 1e-15
 
     def test_spin_marginal_second_moment(self):
@@ -118,30 +122,34 @@ class TestGaussianPairSum:
         assert abs(numeric - 1.0) < 1e-10
 
     def test_conjugate_pair_cancels(self):
-        s = GaussianPairSum([1j, -1j], [0.3, -0.4], [-0.4, 0.3], 0.7)
-        assert s.moment(1) == 0.0
+        coeffs = np.array([[[0.0, 1j], [-1j, 0.0]]])
+        weights, centers = pair_mixture(coeffs, np.array([-0.4, 0.3]), np.array([0.7]), FirstFailure(1))
+        assert GaussianPairSum(weights[0], centers, 0.7).moment(1) == 0.0
 
     def test_non_hermitian_rejected(self):
-        s = GaussianPairSum([1j], [0.3], [-0.4], 0.7)
-        with pytest.raises(NonHermitianSum):
-            s.moment(0)
+        # a failing row 0 raises at once
+        coeffs = np.stack([np.array([[0.0, 1j], [0.0, 0.0]]), np.eye(2)])
+        with pytest.raises(NonHermitianSum) as info:
+            pair_mixture(coeffs, np.array([-0.4, 0.3]), np.full(2, 0.7), FirstFailure(2))
+        assert info.value.row == 0
 
     def test_invalid_order_on_sum(self):
-        s = GaussianPairSum([1.0], [0.0], [0.0], 1.0)
+        s = GaussianPairSum([1.0], [0.0], 1.0)
         with pytest.raises(InvalidOrder):
             s.moment(3)
 
     def test_value_matches_terms(self, rng):
-        coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
-        a = rng.uniform(-1, 1, 3)
-        b = rng.uniform(-1, 1, 3)
-        terms = np.concatenate([coeffs, coeffs.conj()])
-        s = GaussianPairSum(terms, np.concatenate([a, b]), np.concatenate([b, a]), 0.6)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        coeffs = m + m.conj().T
+        levels = rng.uniform(-1, 1, 3)
+        weights, centers = pair_mixture(coeffs[None], levels, np.array([0.6]), FirstFailure(1))
+        s = GaussianPairSum(weights[0], centers, 0.6)
         xs = np.linspace(-2, 2, 7)
         p = Pointer(0.6)
         expected = sum(
-            (c * amplitude(p, xs, ca) * amplitude(p, xs, cb)).real
-            for c, ca, cb in zip(terms, np.concatenate([a, b]), np.concatenate([b, a]))
+            (coeffs[i, j] * amplitude(p, xs, levels[i]) * amplitude(p, xs, levels[j])).real
+            for i in range(3)
+            for j in range(3)
         )
         np.testing.assert_allclose(s.value(xs), expected, atol=1e-14)
 
@@ -151,48 +159,103 @@ class TestGaussianPairSum:
         s = GaussianPairSum.mixture(w, centers, 0.9)
         assert abs(s.moment(2) - (s.center_second_moment() + 0.81 * s.moment(0))) < 1e-12
 
+    def test_width_checked_once(self):
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma must be finite and positive"):
+                GaussianPairSum([1.0], [0.0], bad)
 
-def per_term_reference(s: GaussianPairSum, x):
-    """``value``, ``moment(0/1/2)`` and ``center_second_moment`` of ``s`` with one width per term.
+    def test_lengths_checked(self):
+        with pytest.raises(ValueError, match="field lengths disagree"):
+            GaussianPairSum([1.0, 2.0], [0.0], 1.0)
 
-    The arithmetic of a pair sum that stores its width once per term, kept
-    here so the one-width sum is checked against it bit for bit.
+
+class TestFrozenCopies:
+    """A sum owns read-only copies: the caller's arrays stay writable, and the sum's cannot be made writable."""
+
+    def assert_frozen(self, s):
+        for array in (s.coeffs, s.centers):
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+
+    def test_built_directly(self):
+        coeffs, centers = np.array([0.25, 0.75]), np.array([-0.5, 0.5])
+        s = GaussianPairSum(coeffs, centers, 1.0)
+        assert coeffs.flags.writeable and centers.flags.writeable
+        coeffs[0] = 9.0
+        assert s.coeffs[0] == 0.25
+        self.assert_frozen(s)
+
+    def test_from_chain_rows(self, plus, sz_stage, sx_stage):
+        chain = MeasurementChain((sz_stage(0.5), sx_stage(0.5)), plus)
+        rows = conditional_density_rows(chain, 1, np.array([[0.3], [0.5]]), np.full((2, 2), 0.5), FirstFailure(2))
+        s = rows.density(1)
+        assert rows.coeffs.flags.writeable and rows.centers.flags.writeable
+        self.assert_frozen(s)
+
+
+def per_term_reference(coeffs, centers_a, centers_b, sigma, x):
+    """``value``, ``moment(0/1/2)`` and ``center_second_moment`` of the ``d^2``-term pair form.
+
+    The sum ``sum_k c_k psi(x - a_k) psi(x - b_k)`` with one complex
+    coefficient per term and one width per term, as the engine stored its
+    densities before they became signed mixtures.
     """
-    sigmas = np.full(s.coeffs.shape, s.sigma)
+    sigmas = np.full(coeffs.shape, sigma)
     s2 = sigmas * sigmas
-    xa = x[..., None] - s.centers_a
-    xb = x[..., None] - s.centers_b
+    xa = x[..., None] - centers_a
+    xb = x[..., None] - centers_b
     gauss = (2.0 * np.pi * s2) ** -0.5 * np.exp(-(xa * xa + xb * xb) / (4.0 * s2))
-    value = (s.coeffs * gauss).sum(axis=-1).real
-    d = s.centers_a - s.centers_b
-    weighted = s.coeffs * np.exp(-(d * d) / (8.0 * sigmas * sigmas))
-    mu = 0.5 * (s.centers_a + s.centers_b)
+    value = (coeffs * gauss).sum(axis=-1).real
+    d = centers_a - centers_b
+    weighted = coeffs * np.exp(-(d * d) / (8.0 * sigmas * sigmas))
+    mu = 0.5 * (centers_a + centers_b)
     terms = [weighted * np.ones_like(mu), weighted * mu, weighted * (mu * mu + sigmas * sigmas), weighted * mu * mu]
-    return value, [float(np.stack([t]).sum(axis=-1).real[0]) for t in terms]
+    # each quantity with the sum of its terms' magnitudes, the scale of its rounding
+    return (value, np.abs(coeffs * gauss).sum(axis=-1)), [(t.sum().real, np.abs(t).sum()) for t in terms]
 
 
-class TestOneWidthBits:
-    """A pair sum with one width gives the bits of the same sum with that width on every term."""
+class TestPairMixture:
+    """pair_mixture and the mixture it builds against the d^2-term pair form."""
 
-    def random_sums(self, rng, count):
-        for _ in range(count):
+    #: relative to the sum of the reference's term magnitudes
+    BOUND = 2e-15
+
+    def test_matches_per_term_reference(self, rng):
+        worst = 0.0
+        for _ in range(400):
             d = int(rng.integers(1, 5))
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             levels = np.sort(rng.uniform(-2.0, 2.0, d))
             sigma = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
-            coeffs = (m @ m.conj().T).ravel()
-            yield GaussianPairSum(coeffs, np.repeat(levels, d), np.tile(levels, d), sigma)
-
-    def test_value_and_moments(self, rng):
-        for s in self.random_sums(rng, 400):
+            coeffs = m @ m.conj().T
+            weights, centers = pair_mixture(coeffs[None], levels, np.array([sigma]), FirstFailure(1))
+            s = GaussianPairSum(weights[0], centers, sigma)
             # points at a few widths around the centers, where the terms are not all zero
-            x = s.centers_a[0] + s.sigma * rng.normal(size=5)
-            value, (m0, m1, m2, c2) = per_term_reference(s, x)
-            assert np.array_equal(s.value(x), value)
-            assert s.value(float(x[0])) == value[0]
-            assert (s.moment(0), s.moment(1), s.moment(2), s.center_second_moment()) == (m0, m1, m2, c2)
+            x = levels[0] + sigma * rng.normal(size=5)
+            (value, value_scale), moments = per_term_reference(
+                coeffs.ravel(), np.repeat(levels, d), np.tile(levels, d), sigma, x
+            )
+            got = [s.moment(0), s.moment(1), s.moment(2), s.center_second_moment()]
+            gaps = [np.abs(s.value(x) - value) / value_scale] + [
+                abs(g - want) / scale for g, (want, scale) in zip(got, moments)
+            ]
+            assert s.value(float(x[0])) == s.value(x)[0]
+            worst = max(worst, *(float(np.max(gap)) for gap in gaps))
+        assert worst < self.BOUND
 
-    def test_width_checked_once(self):
-        for bad in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="sigma must be finite and positive"):
-                GaussianPairSum([1.0], [0.0], [0.0], bad)
+    def test_one_weight_per_midpoint(self):
+        for d in range(1, 6):
+            weights, centers = pair_mixture(
+                np.eye(d, dtype=complex)[None], np.arange(d, dtype=float), np.ones(1), FirstFailure(1)
+            )
+            assert weights.shape == (1, d * (d + 1) // 2) and centers.shape == (d * (d + 1) // 2,)
+            assert np.array_equal(centers[:d], np.arange(d))
+
+    def test_non_hermitian_later_row_is_recorded(self):
+        coeffs = np.stack([np.eye(2), np.eye(2), np.array([[1.0, 0.5j], [0.5j, 1.0]]), np.eye(2)])
+        rows = FirstFailure(4)
+        weights, _ = pair_mixture(coeffs.astype(complex), np.array([-0.5, 0.5]), np.ones(4), rows)
+        assert len(weights) == rows.rows == 2
+        assert isinstance(rows.error, NonHermitianSum) and rows.error.row == 2
+        with pytest.raises(NonHermitianSum):
+            rows.raise_first()
