@@ -18,7 +18,7 @@ from .conditional import (
     forward_density,
     forward_stats,
 )
-from .core import DensityMatrix, Observable, PureState, eigh, variance_of
+from .core import DensityMatrix, Observable, PureState, variance_of
 from .errors import (
     ConfigParseError,
     DegenerateDirection,
@@ -98,7 +98,6 @@ __all__ = [
     "conditional_stats_k",
     "effect_at",
     "effect_chain",
-    "eigh",
     "forward_density",
     "forward_stats",
     "joint_statistics",

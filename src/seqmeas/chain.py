@@ -4,9 +4,11 @@ A chain applies its stages in order; a query fixes every outcome except
 one and asks for the density, mean and variance of the free one. The
 density of outcome ``k`` conditioned on all others is a Gaussian pair sum
 built from the chain state of the earlier stages and the effect product
-of the later ones (:func:`numerator_rows`). The two-stage forward and
-backward queries of :mod:`seqmeas.conditional` are its N = 2 case with
-free index 2 and 1.
+of the later ones (:func:`numerator_rows`). Every conditional query runs
+through one rows core, :func:`density_rows`, or :func:`stats_rows` for
+the moments too: the chain queries here, the two-stage forward and
+backward queries of :mod:`seqmeas.conditional` (its N = 2 case with free
+index 2 and 1), the figure sweeps and the conditional variance sum.
 
 Each stage is folded in its own eigenbasis, where its Kraus operator is
 diagonal (:func:`~seqmeas.kraus.fold`), with one change of basis between
@@ -39,14 +41,21 @@ class ConditionalStats:
 
     ``extracted_system_variance`` is the pointer variance minus the shot
     noise ``sigma^2`` of the free stage; ``clamped`` flags a sub-roundoff
-    negative value that was clipped to zero. The batched ``*_rows``
-    functions return one with an array entry per row in every field.
+    negative value that was clipped to zero. :func:`stats_rows` returns
+    one with an array entry per row in every field.
     """
 
     mean: float
     variance: float
     extracted_system_variance: float
     clamped: bool = False
+
+    def row(self, i: int) -> "ConditionalStats":
+        """Row ``i`` of array statistics, as Python scalars."""
+        return ConditionalStats(
+            float(self.mean[i]), float(self.variance[i]),
+            float(self.extracted_system_variance[i]), bool(self.clamped[i]),
+        )
 
 
 @dataclass(frozen=True)
@@ -94,18 +103,14 @@ class ChainQuery:
             raise ValueError("fixed outcomes must be finite")
 
     def validate_for(self, chain: MeasurementChain) -> None:
-        _check_query_shape(chain, self.free_index, len(self.fixed_outcomes))
+        n, n_fixed = len(chain), len(self.fixed_outcomes)
+        if not 1 <= self.free_index <= n:
+            raise ValueError(f"free index {self.free_index} outside 1..{n}")
+        if n_fixed != n - 1:
+            raise ValueError(f"{n}-stage chain needs {n - 1} fixed outcomes, got {n_fixed}")
 
     def outcomes_before(self) -> tuple[float, ...]:
         return self.fixed_outcomes[: self.free_index - 1]
-
-
-def _check_query_shape(chain: MeasurementChain, free_index: int, n_fixed: int) -> None:
-    n = len(chain)
-    if not 1 <= free_index <= n:
-        raise ValueError(f"free index {free_index} outside 1..{n}")
-    if n_fixed != n - 1:
-        raise ValueError(f"{n}-stage chain needs {n - 1} fixed outcomes, got {n_fixed}")
 
 
 @dataclass(frozen=True)
@@ -140,13 +145,10 @@ class ChainRows:
         return GaussianPairSum(self.coeffs[i], self.centers, float(self.sigma[i]))
 
     def result(self, i: int) -> ChainResult:
+        stats = self.stats.row(i)
         return ChainResult(
-            density=self.density(i),
-            normalization=float(self.normalization[i]),
-            mean=float(self.stats.mean[i]),
-            variance=float(self.stats.variance[i]),
-            extracted_variance=float(self.stats.extracted_system_variance[i]),
-            clamped=bool(self.stats.clamped[i]),
+            self.density(i), float(self.normalization[i]),
+            stats.mean, stats.variance, stats.extracted_system_variance, stats.clamped,
         )
 
 
@@ -307,85 +309,66 @@ def numerator_rows(
     return coeffs[:n], rotations.observables[free].eigenvalues, sigmas[:n, free]
 
 
-def mixture_rows(rotations: Rotations, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure):
-    """:func:`numerator_rows` collapsed by :func:`~seqmeas.pointer.pair_mixture`.
+def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str) -> int:
+    # ``label`` names the density in the message
+    return rows.check(
+        ~(np.isfinite(m0) & (m0 >= 1e-300)),
+        lambda i: ZeroLikelihood(f"{label} normalization {float(m0[i])!r} too small"),
+    )
 
-    Returns the ``(n, M)`` weights and ``(n,)`` widths of the live rows and the ``(M,)`` centers.
+
+def density_rows(
+    rotations: Rotations, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure, label: str
+) -> ChainRows:
+    """Densities of the free outcome for ``(B, N - 1)`` fixed outcomes and ``(B, N)`` widths: the rows core.
+
+    Every conditional query runs through here: :func:`numerator_rows`
+    collapsed by :func:`~seqmeas.pointer.pair_mixture`, then the
+    normalization check, which fails a row with :class:`ZeroLikelihood`
+    (``"<label> normalization ... too small"``) when its zeroth moment is
+    not above 1e-300. The result holds the live rows; the caller raises
+    :meth:`FirstFailure.raise_first`.
     """
     coeffs, eigenvalues, sigma = numerator_rows(rotations, free_index, fixed, sigmas, rows)
     weights, centers = pair_mixture(coeffs, eigenvalues, sigma, rows)
-    return weights, centers, sigma[: len(weights)]
+    norm = weights.sum(axis=-1)
+    n = check_normalization(norm, rows, label)
+    return ChainRows(weights[:n], centers, sigma[:n], norm[:n])
 
 
-def _mixture_rows(chain, free_index, fixed, sigmas, rows: FirstFailure):
-    # the chain entry points check the query shape, then run the collapsed numerators
-    _check_query_shape(chain, free_index, fixed.shape[1])
-    return mixture_rows(Rotations.of(chain.initial_state, chain.observables), free_index, fixed, sigmas, rows)
+def stats_rows(
+    rotations: Rotations, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure, label: str
+) -> ChainRows:
+    """:func:`density_rows` with the moments of every live row.
 
-
-def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str | Sequence[str]) -> int:
-    # ``label`` names the density in the message: one for every row, or one per row
-    return rows.check(
-        ~(np.isfinite(m0) & (m0 >= 1e-300)),
-        lambda i: ZeroLikelihood(
-            f"{label if isinstance(label, str) else label[i]} normalization {float(m0[i])!r} too small"
-        ),
-    )
-
-
-def _moment_stats(m0, m1, c2, sigma, rows: FirstFailure) -> ConditionalStats:
-    mean = m1 / m0
-    extracted = c2 / m0 - mean * mean
+    The second moment of every term carries the same additive ``sigma^2``,
+    so the extracted variance comes from the center spread alone instead
+    of subtracting ``sigma^2`` from a possibly huge total. A row whose
+    extracted variance lies below ``-EXTRACTED_CLAMP`` fails with
+    :class:`VarianceInconsistency`; one in ``[-EXTRACTED_CLAMP, 0)`` is
+    clamped to zero and flagged.
+    """
+    density = density_rows(rotations, free_index, fixed, sigmas, rows, label)
+    m0, centers, sigma = density.normalization, density.centers, density.sigma
+    first = density.coeffs * centers
+    mean = first.sum(axis=-1) / m0
+    extracted = (first * centers).sum(axis=-1) / m0 - mean * mean
     n = rows.check(
         extracted < -EXTRACTED_CLAMP,
-        lambda i: VarianceInconsistency(
-            f"extracted variance {extracted[i]:.3e} below -{EXTRACTED_CLAMP:.0e}"
-        ),
+        lambda i: VarianceInconsistency(f"extracted variance {extracted[i]:.3e} below -{EXTRACTED_CLAMP:.0e}"),
     )
     clamped = extracted[:n] < 0.0
     extracted = np.where(clamped, 0.0, extracted[:n])
-    return ConditionalStats(
-        mean=mean[:n],
-        variance=extracted + sigma[:n] * sigma[:n],
-        extracted_system_variance=extracted,
-        clamped=clamped,
-    )
+    stats = ConditionalStats(mean[:n], extracted + sigma[:n] * sigma[:n], extracted, clamped)
+    return ChainRows(density.coeffs[:n], centers, sigma[:n], m0[:n], stats)
 
 
-def pair_rows_moments(
-    coeffs, centers, sigma, rows: FirstFailure, label: str | Sequence[str]
-) -> tuple[np.ndarray, ConditionalStats]:
-    """Zeroth moments and conditional statistics of ``(B, M)`` mixture rows.
-
-    ``sigma`` holds each row's width. The centers are ``(M,)``, shared by
-    every row, or ``(B, M)``, one set per row; ``label`` is one name for
-    every row or one per row. The second moment of every term carries the
-    same additive ``sigma^2``, so the extracted variance comes from the
-    center spread alone instead of subtracting ``sigma^2`` from a possibly
-    huge total. A row fails with :class:`ZeroLikelihood`
-    (``"<label> normalization ... too small"``) when its zeroth moment is
-    not above 1e-300, or on the extracted-variance clamp.
-    """
-    first = coeffs * centers
-    m0, m1, c2 = coeffs.sum(axis=-1), first.sum(axis=-1), (first * centers).sum(axis=-1)
-    n = check_normalization(m0, rows, label)
-    stats = _moment_stats(m0[:n], m1[:n], c2[:n], sigma, rows)
-    return m0[: rows.rows], stats
-
-
-def conditional_density_rows(
-    chain: MeasurementChain, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure
-) -> ChainRows:
-    """Densities of the free outcome for ``(B, N - 1)`` fixed outcomes and ``(B, N)`` widths.
-
-    Widths must be finite and positive, as :class:`Pointer` enforces. Every
-    row runs the checks of :func:`conditional_density_k`; the result holds
-    the live rows and the caller raises :meth:`FirstFailure.raise_first`.
-    """
-    weights, centers, sigma = _mixture_rows(chain, free_index, fixed, sigmas, rows)
-    norm = weights.sum(axis=-1)
-    n = check_normalization(norm, rows, "conditional")
-    return ChainRows(weights[:n], centers, sigma[:n], norm[:n])
+def _query(chain: MeasurementChain, query: ChainQuery, core) -> ChainRows:
+    # one record through the rows core ``core``: the query's shape, then the chain's rotations
+    fixed, sigmas = one_row(chain, query.fixed_outcomes)
+    query.validate_for(chain)
+    rotations = Rotations.of(chain.initial_state, chain.observables)
+    return core(rotations, query.free_index, fixed, sigmas, FirstFailure(1), "conditional")
 
 
 def conditional_density_k(
@@ -396,24 +379,10 @@ def conditional_density_k(
     Returns the unnormalized Gaussian pair sum and its normalization
     (zeroth moment); the density is their ratio.
     """
-    densities = conditional_density_rows(
-        chain, query.free_index, *one_row(chain, query.fixed_outcomes), FirstFailure(1)
-    )
+    densities = _query(chain, query, density_rows)
     return densities.density(0), float(densities.normalization[0])
-
-
-def conditional_stats_rows(
-    chain: MeasurementChain, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure
-) -> ChainRows:
-    """:func:`conditional_density_rows` with the moments of every live row."""
-    weights, centers, sigma = _mixture_rows(chain, free_index, fixed, sigmas, rows)
-    norm, stats = pair_rows_moments(weights, centers, sigma, rows, "conditional")
-    n = rows.rows
-    return ChainRows(weights[:n], centers, sigma[:n], norm, stats)
 
 
 def conditional_stats_k(chain: MeasurementChain, query: ChainQuery) -> ChainResult:
     """Mean, variance and extracted variance of the free outcome."""
-    return conditional_stats_rows(
-        chain, query.free_index, *one_row(chain, query.fixed_outcomes), FirstFailure(1)
-    ).result(0)
+    return _query(chain, query, stats_rows).result(0)

@@ -26,8 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__, spin
-from .chain import ChainQuery, MeasurementChain, conditional_stats_rows, one_row
-from .conditional import two_stage_rows
+from .chain import ChainQuery, MeasurementChain, Rotations, one_row, stats_rows
 from .core import DensityMatrix, Observable
 from .errors import ConfigParseError, FirstFailure, InvalidRange, SeqMeasError
 from .joint import backaction_variance_rows
@@ -154,7 +153,8 @@ def cmd_fig3(args) -> int:
 
     def engine(r):
         sigmas = np.stack((s1, np.full(x1.size, sigma2)), axis=-1)
-        return two_stage_rows(rho0, (sz, sx), 2, x1, sigmas, r).extracted_system_variance
+        rows = stats_rows(Rotations.of(rho0, (sz, sx)), 2, x1[:, None], sigmas, r, "density")
+        return rows.stats.extracted_system_variance
 
     values = _sweep_rows(
         x1.size,
@@ -181,7 +181,8 @@ def cmd_fig4(args) -> int:
 
     def engine(r):
         sigmas = np.stack((np.full(x2.size, sigma1), s2), axis=-1)
-        return two_stage_rows(rho0, (sz, sx), 1, x2, sigmas, r).extracted_system_variance
+        rows = stats_rows(Rotations.of(rho0, (sz, sx)), 1, x2[:, None], sigmas, r, "backward")
+        return rows.stats.extracted_system_variance
 
     values = _sweep_rows(
         x2.size,
@@ -388,12 +389,9 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Swe
         except ConfigParseError:
             build_matrices()
             raise
-        parsed.append((obs, sigma, str(stage_cfg.get("label", ""))))
+        parsed.append((obs, sigma))
     built = iter(build_matrices())
-    stages = [
-        MeasurementStage(next(built) if obs is None else obs, Pointer(sigma), label=label)
-        for obs, sigma, label in parsed
-    ]
+    stages = [MeasurementStage(next(built) if obs is None else obs, Pointer(sigma)) for obs, sigma in parsed]
     query_cfg = _require_key(payload, "query", "top level")
     if not isinstance(query_cfg, dict):
         raise ConfigParseError("query: expected an object")
@@ -422,7 +420,7 @@ def _row_case(chain: MeasurementChain, query: ChainQuery, sweep: Sweep | None, v
     if sweep.sets_sigma:
         stages = list(chain.stages)
         stage = stages[sweep.index]
-        stages[sweep.index] = MeasurementStage(stage.observable, Pointer(value), label=stage.label)
+        stages[sweep.index] = MeasurementStage(stage.observable, Pointer(value))
         return MeasurementChain(tuple(stages), chain.initial_state), query
     fixed = list(query.fixed_outcomes)
     fixed[sweep.index] = value
@@ -466,7 +464,8 @@ def cmd_chain(args) -> int:
                     f"stages[{sweep.index}].sigma: expected a positive number, got {values[i]!r}"
                 ),
             )
-        return conditional_stats_rows(chain, query.free_index, fixed, sigmas, rows)
+        rotations = Rotations.of(chain.initial_state, chain.observables)
+        return stats_rows(rotations, query.free_index, fixed, sigmas, rows, "conditional")
 
     quad_cfg = QuadratureConfig(abs_tol=args.quad_tol)
 

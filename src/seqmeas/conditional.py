@@ -3,25 +3,22 @@
 Conditioning runs both ways. The recorded first outcome reshapes the
 second pointer's distribution (causal backaction); conditioning on the
 second outcome reshapes the statistics of the already-recorded first one
-(noncausal backaction). Each is a 2-stage chain query on the engine of
-:mod:`seqmeas.chain`, free index 2 forward and 1 backward, run for a
-batch of rows by one core (:func:`two_stage_rows`). Both conditional
-densities are signed Gaussian mixtures in the free outcome, so their means and
-variances are closed-form; numerical quadrature enters only as an
-independent oracle.
+(noncausal backaction). Each is a 2-stage chain query on the rows core
+of :mod:`seqmeas.chain` (:func:`~seqmeas.chain.density_rows`,
+:func:`~seqmeas.chain.stats_rows`), free index 2 forward and 1 backward.
+Both conditional densities are signed Gaussian mixtures in the free
+outcome, so their means and variances are closed-form; numerical
+quadrature enters only as an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .chain import (
-    ConditionalStats, MeasurementChain, Rotations, chain_state, check_normalization, mixture_rows, pair_rows_moments,
-)
-from .core import DensityMatrix, Observable, require_same_dim
+from .chain import ChainRows, ConditionalStats, MeasurementChain, Rotations, chain_state, density_rows, stats_rows
+from .core import DensityMatrix, require_same_dim
 from .errors import FirstFailure
 from .kraus import MeasurementStage
 from .pointer import GaussianPairSum
@@ -45,60 +42,22 @@ class ConditionalDensity:
         return self.numerator.value(x) / self.normalization
 
 
-def _one(value) -> np.ndarray:
-    return np.array([value], dtype=float)
-
-
-def _first_row(stats: ConditionalStats) -> ConditionalStats:
-    return ConditionalStats(
-        mean=float(stats.mean[0]),
-        variance=float(stats.variance[0]),
-        extracted_system_variance=float(stats.extracted_system_variance[0]),
-        clamped=bool(stats.clamped[0]),
-    )
-
-
 #: Direction and ZeroLikelihood label of the 2-stage query with each free index
 DIRECTIONS = {2: ("forward", "density"), 1: ("backward", "backward")}
 
 
-def two_stage_rows(
-    rho0: DensityMatrix,
-    observables: Sequence[Observable],
-    free_index: int,
-    outcome: np.ndarray,
-    sigmas: np.ndarray,
-    rows: FirstFailure,
-) -> ConditionalStats:
-    """The 2-stage chain query for ``B`` rows of (other stage's outcome, both widths).
-
-    Free index 2 is the forward query (the second outcome given the first),
-    1 the backward one. ``outcome`` is ``(B,)`` and ``sigmas`` ``(B, 2)``;
-    widths must be finite and positive, as :class:`Pointer` enforces.
-    Returns the :class:`ConditionalStats` of the live rows of ``rows``;
-    the caller raises :meth:`FirstFailure.raise_first`.
-    """
-    require_same_dim(observables[0].dim, observables[1].dim, rho0.dim)
-    mixture = mixture_rows(Rotations.of(rho0, observables), free_index, outcome[:, None], sigmas, rows)
-    return pair_rows_moments(*mixture, rows, DIRECTIONS[free_index][1])[1]
-
-
-def _one_row(rho0, stage1, stage2, free_index, outcome, rows):
-    # the rows core on one record of the two stages' widths
-    sigmas = np.array([[stage1.sigma, stage2.sigma]])
-    return two_stage_rows(rho0, (stage1.observable, stage2.observable), free_index, _one(outcome), sigmas, rows)
+def _two_stage(rho0, stage1, stage2, free_index, outcome, core) -> ChainRows:
+    # one record of the 2-stage chain query through the rows core ``core``
+    require_same_dim(stage1.dim, stage2.dim, rho0.dim)
+    rotations = Rotations.of(rho0, (stage1.observable, stage2.observable))
+    fixed, sigmas = np.array([[outcome]], dtype=float), np.array([[stage1.sigma, stage2.sigma]])
+    return core(rotations, free_index, fixed, sigmas, FirstFailure(1), DIRECTIONS[free_index][1])
 
 
 def _density(rho0, stage1, stage2, free_index, outcome) -> ConditionalDensity:
-    require_same_dim(stage1.dim, stage2.dim, rho0.dim)
-    rows, sigmas = FirstFailure(1), np.array([[stage1.sigma, stage2.sigma]])
-    rotations = Rotations.of(rho0, (stage1.observable, stage2.observable))
-    weights, centers, sigma = mixture_rows(rotations, free_index, _one(outcome)[:, None], sigmas, rows)
-    numerator = GaussianPairSum(weights[0], centers, float(sigma[0]))
-    norm = numerator.moment(0)
-    direction, label = DIRECTIONS[free_index]
-    check_normalization(_one(norm), rows, label)
-    return ConditionalDensity(direction, float(outcome), numerator, norm)
+    densities = _two_stage(rho0, stage1, stage2, free_index, outcome, density_rows)
+    numerator, norm = densities.density(0), float(densities.normalization[0])
+    return ConditionalDensity(DIRECTIONS[free_index][0], float(outcome), numerator, norm)
 
 
 def conditional_state(
@@ -147,7 +106,7 @@ def forward_stats(
     The extracted part is the variance of the second observable conditioned
     on the first measurement's presence and outcome.
     """
-    return _first_row(_one_row(rho0, stage1, stage2, 2, x1, FirstFailure(1)))
+    return _two_stage(rho0, stage1, stage2, 2, x1, stats_rows).stats.row(0)
 
 
 def backward_density(
@@ -173,4 +132,4 @@ def backward_stats(
     x2: float,
 ) -> ConditionalStats:
     """Conditional mean/variance of the first outcome given the second."""
-    return _first_row(_one_row(rho0, stage1, stage2, 1, x2, FirstFailure(1)))
+    return _two_stage(rho0, stage1, stage2, 1, x2, stats_rows).stats.row(0)

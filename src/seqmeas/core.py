@@ -1,9 +1,9 @@
 """Dense complex linear algebra for finite-dimensional quantum systems.
 
 States are density matrices, observables are stored spectrally
-(eigenvalues with multiplicity, as ``eigh`` gives them, and eigenvectors).
-Everything is immutable after construction and safe to share across
-threads.
+(eigenvalues with multiplicity, as ``numpy.linalg.eigh`` gives them, and
+eigenvectors). Everything is immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -24,13 +24,6 @@ def _as_square(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def _as_square_complex(matrix) -> np.ndarray:
-    m = _as_square(matrix)
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix contains non-finite entries")
     return m
 
 
@@ -77,38 +70,6 @@ def check_states(matrices: np.ndarray, rows: FirstFailure) -> int:
         min_eig < -PSD_TOL,
         lambda i: ValueError(f"state not positive semidefinite: min eigenvalue {min_eig[i]:.3e}"),
     )
-
-
-def eigh(matrix):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Square complex matrix, Hermitian within ``HERMITICITY_TOL`` (entrywise).
-
-    Returns
-    -------
-    eigenvalues : ndarray
-        Real eigenvalues in ascending order.
-    eigenvectors : ndarray
-        Orthonormal eigenvectors as columns, matching the eigenvalue order.
-
-    Raises
-    ------
-    NotHermitian
-        If the Hermiticity tolerance is violated.
-    NoConvergence
-        If the underlying solver fails to converge.
-    """
-    m = _as_square_complex(matrix)
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise NotHermitian(f"max |M - M^dagger| = {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    try:
-        return np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -312,12 +273,11 @@ class DensityMatrix:
         return DensityMatrix(self.matrix / t)
 
     @classmethod
-    def from_matrix(cls, matrix, *, require_normalized: bool = True) -> "DensityMatrix":
+    def from_matrix(cls, matrix) -> "DensityMatrix":
         state = cls(matrix)
-        if require_normalized:
-            t = float(np.trace(state.matrix).real)
-            if abs(t - 1.0) > 1e-12:
-                raise ValueError(f"trace {t!r} differs from 1 beyond 1e-12")
+        t = float(np.trace(state.matrix).real)
+        if abs(t - 1.0) > 1e-12:
+            raise ValueError(f"trace {t!r} differs from 1 beyond 1e-12")
         return state
 
     @classmethod

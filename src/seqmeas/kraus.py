@@ -28,7 +28,6 @@ class MeasurementStage:
 
     observable: Observable
     pointer: Pointer
-    label: str = ""
 
     @property
     def dim(self) -> int:

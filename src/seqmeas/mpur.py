@@ -15,10 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import Rotations, mixture_rows, pair_rows_moments
+from .chain import Rotations, stats_rows
 from .conditional import DIRECTIONS
 from .core import DensityMatrix, Observable, PureState, require_same_dim, unit_amplitudes
-from .errors import DegenerateDirection, FirstFailure, NotOrthogonal, SeqMeasError
+from .errors import DegenerateDirection, FirstFailure, NotOrthogonal
 from .kraus import MeasurementStage
 
 ORTHOGONALITY_TOL = 1e-10
@@ -208,8 +208,8 @@ def conditional_mpur_sum(
     the sum under it. This is a per-configuration evaluation, not a claim
     that any fixed bound governs conditional variances in general. The
     variances are those of ``forward_stats`` at ``x1`` and ``backward_stats``
-    at ``x2``, bit for bit, with their errors in that order; their moments
-    come from one :func:`~seqmeas.chain.pair_rows_moments` pass, forward as row 0.
+    at ``x2``, bit for bit, with their errors in that order: two
+    :func:`~seqmeas.chain.stats_rows` calls on one shared :class:`~seqmeas.chain.Rotations`.
     """
     require_same_dim(rho0.dim, stage1.dim, stage2.dim)
     values, vectors = np.linalg.eigh(rho0.matrix)
@@ -218,20 +218,12 @@ def conditional_mpur_sum(
     v = unit_amplitudes(vectors[:, -1])
     # both directions share the initial state's rotation and the stage step
     rotations = Rotations.of(rho0, (stage1.observable, stage2.observable))
-    outcomes, sigmas = np.array([[x1], [x2]], dtype=float), np.array([[stage1.sigma, stage2.sigma]])
-    # a forward numerator or collapse error raises at once; a backward one
-    # is row 1's and waits for the forward moment checks
-    rows, parts = FirstFailure(2), [mixture_rows(rotations, 2, outcomes[:1], sigmas, FirstFailure(1))]
-    try:
-        parts.append(mixture_rows(rotations, 1, outcomes[1:], sigmas, FirstFailure(1)))
-    except (SeqMeasError, ValueError) as exc:
-        rows.check(np.array([False, True]), lambda i: exc)
-    weights, centers, sigma = zip(*parts)
-    _, stats = pair_rows_moments(
-        np.concatenate(weights), np.stack(centers), np.concatenate(sigma), rows, (DIRECTIONS[2][1], DIRECTIONS[1][1])
+    sigmas = np.array([[stage1.sigma, stage2.sigma]])
+    forward, backward = (
+        stats_rows(rotations, free, np.array([[x]], dtype=float), sigmas, FirstFailure(1), DIRECTIONS[free][1])
+        .stats.extracted_system_variance[0]
+        for free, x in ((2, x1), (1, x2))
     )
-    rows.raise_first()
-    forward, backward = stats.extracted_system_variance.tolist()
     r_a, r_b, _ = _bounds(v, stage1.observable.matrix, stage2.observable.matrix)
     bound = max(r_a, r_b)
     total = float(forward + backward)

@@ -18,7 +18,7 @@ def plus():
 @pytest.fixture
 def sz_stage():
     def make(sigma: float) -> MeasurementStage:
-        return MeasurementStage(spin.s_z(), Pointer(sigma), label="z")
+        return MeasurementStage(spin.s_z(), Pointer(sigma))
 
     return make
 
@@ -26,7 +26,7 @@ def sz_stage():
 @pytest.fixture
 def sx_stage():
     def make(sigma: float) -> MeasurementStage:
-        return MeasurementStage(spin.s_x(), Pointer(sigma), label="x")
+        return MeasurementStage(spin.s_x(), Pointer(sigma))
 
     return make
 

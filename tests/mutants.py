@@ -155,8 +155,14 @@ CATALOGUE = (
     (
         "fig4-forward-free-index",
         "src/seqmeas/cli.py",
-        "two_stage_rows(rho0, (sz, sx), 1, x2, sigmas, r)",
-        "two_stage_rows(rho0, (sz, sx), 2, x2, sigmas, r)",
+        'stats_rows(Rotations.of(rho0, (sz, sx)), 1, x2[:, None], sigmas, r, "backward")',
+        'stats_rows(Rotations.of(rho0, (sz, sx)), 2, x2[:, None], sigmas, r, "backward")',
+    ),
+    (
+        "mpur-backward-as-forward",
+        "src/seqmeas/mpur.py",
+        "for free, x in ((2, x1), (1, x2))",
+        "for free, x in ((2, x1), (2, x2))",
     ),
 )
 

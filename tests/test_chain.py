@@ -4,13 +4,17 @@ from scipy.integrate import quad
 
 from seqmeas import (
     ChainQuery,
+    ConditionalDensity,
+    ConditionalStats,
     DensityMatrix,
     DimensionMismatch,
     MeasurementChain,
     MeasurementStage,
     Observable,
     Pointer,
+    SeqMeasError,
     VarianceInconsistency,
+    backward_density,
     backward_stats,
     chain_state,
     conditional_density_k,
@@ -18,10 +22,12 @@ from seqmeas import (
     conditional_stats_k,
     effect_at,
     effect_chain,
+    forward_density,
     forward_stats,
 )
 from seqmeas import spin
 from seqmeas.chain import Rotations, chain_state_rows, effect_chain_rows
+from seqmeas.conditional import DIRECTIONS
 from seqmeas.validate import random_density, random_observable
 
 from reference import dense_kraus_reference
@@ -107,22 +113,72 @@ class TestEffectChain:
             assert np.linalg.eigvalsh(e).min() > -1e-12
 
 
-class TestReducesToTwoStageModel:
-    def test_forward(self, two_stage, plus, sz_stage, sx_stage):
-        for x1 in np.linspace(-1.2, 1.2, 7):
-            got = conditional_stats_k(two_stage, ChainQuery(2, (x1,)))
-            ref = forward_stats(plus, sz_stage(0.5), sx_stage(0.5), x1)
-            assert abs(got.mean - ref.mean) < 1e-12
-            assert abs(got.variance - ref.variance) < 1e-12
-            assert abs(got.extracted_variance - ref.extracted_system_variance) < 1e-12
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (SeqMeasError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
 
-    def test_backward(self, two_stage, plus, sz_stage, sx_stage):
-        for x2 in np.linspace(-1.2, 1.2, 7):
-            got = conditional_stats_k(two_stage, ChainQuery(1, (x2,)))
-            ref = backward_stats(plus, sz_stage(0.5), sx_stage(0.5), x2)
-            assert abs(got.mean - ref.mean) < 1e-12
-            assert abs(got.variance - ref.variance) < 1e-12
-            assert abs(got.extracted_variance - ref.extracted_system_variance) < 1e-12
+
+def density_fields(density: ConditionalDensity):
+    numerator = density.numerator
+    return (
+        density.direction, density.conditioned_on, numerator.coeffs.tolist(), numerator.centers.tolist(),
+        numerator.sigma, density.normalization,
+    )
+
+
+class TestReducesToTwoStageModel:
+    """The two-stage functions are the 2-stage chain query, free index 2 forward and 1 backward, bit for bit."""
+
+    @pytest.fixture
+    def cases(self, rng, plus, sz_stage, sx_stage):
+        # the spin illustration, then random d = 2-4 observables, states, widths and outcomes
+        cases = [(plus, sz_stage(0.5), sx_stage(0.5), float(x)) for x in np.linspace(-1.2, 1.2, 7)]
+        for _ in range(120):
+            dim = int(rng.integers(2, 5))
+            widths = 10 ** rng.uniform(-1.5, 0.5, size=2)
+            stages = [MeasurementStage(random_observable(rng, dim), Pointer(float(w))) for w in widths]
+            cases.append((random_density(rng, dim), *stages, float(2.0 * rng.normal())))
+        return cases
+
+    @staticmethod
+    def stats_k(chain, query):
+        r = conditional_stats_k(chain, query)
+        return ConditionalStats(r.mean, r.variance, r.extracted_variance, r.clamped)
+
+    @staticmethod
+    def density_k(chain, query):
+        direction = DIRECTIONS[query.free_index][0]
+        return ConditionalDensity(direction, query.fixed_outcomes[0], *conditional_density_k(chain, query))
+
+    @staticmethod
+    def compare(cases, free_index, two_stage, chain_query, fields=lambda value: value):
+        # the same value bits, or the same error type, row and text but for the density's name
+        answered = 0
+        for rho, stage1, stage2, x in cases:
+            got = outcome(two_stage, rho, stage1, stage2, x)
+            ref = outcome(chain_query, MeasurementChain((stage1, stage2), rho), ChainQuery(free_index, (x,)))
+            if got[0] == ref[0] == "ok":
+                answered += 1
+                got, ref = fields(got[1]), fields(ref[1])
+            elif ref[0] != "ok":
+                label = DIRECTIONS[free_index][1]
+                ref = (ref[0], ref[1].replace("conditional normalization", f"{label} normalization"), ref[2])
+            assert repr(got) == repr(ref), (rho.dim, stage1.sigma, stage2.sigma, x)
+        assert answered > 100
+
+    def test_forward(self, cases):
+        self.compare(cases, 2, forward_stats, self.stats_k)
+
+    def test_backward(self, cases):
+        self.compare(cases, 1, backward_stats, self.stats_k)
+
+    def test_forward_density(self, cases):
+        self.compare(cases, 2, forward_density, self.density_k, density_fields)
+
+    def test_backward_density(self, cases):
+        self.compare(cases, 1, backward_density, self.density_k, density_fields)
 
     def test_outcome_cutoff_applies_to_chain_queries_only(self, plus, sz_stage, sx_stage):
         # no outcome cutoff applies to either API: x1 = -1.2 lies 17.5 widths

@@ -21,7 +21,7 @@ from seqmeas import (
     forward_stats,
     spin,
 )
-from seqmeas.chain import conditional_stats_rows
+from seqmeas.chain import Rotations, stats_rows
 from seqmeas.cli import (
     _grid_cells,
     _outer_grid,
@@ -170,6 +170,32 @@ class TestChainCommand:
         assert len(a) == len(b)
         # only the hash line differs; every data row is byte-identical
         assert [x.split(": ")[0] for x, y in zip(a, b) if x != y] == ["# config-sha256"]
+
+    def test_stage_labels_are_ignored(self, capsys, tmp_path):
+        # a stage's "label" key is accepted with a value of any JSON type and changes no output
+        # byte but the hash, which follows the file's bytes; the sweep rebuilds a stage per row
+        payload = json.loads(CHAIN4.read_text())
+        payload["query"]["free_index"] = 4
+        payload["sweep"] = {"path": "stages.1.sigma", "min": 0.3, "max": 0.9, "steps": 3}
+        variants = {
+            "without": None,
+            "strings": ["a", "b", "", "z4"],
+            "scalars": [7, 2.5, True, None],
+            "nested": [[1, "x"], {"k": {"n": []}}, False, -0.0],
+        }
+        outputs = []
+        for name, labels in variants.items():
+            for i, stage in enumerate(payload["stages"]):
+                stage.pop("label", None)
+                if labels is not None:
+                    stage["label"] = labels[i]
+            cfg = write_config(tmp_path, payload, f"{name}.json")
+            code, out, _ = run_cli(capsys, "chain", cfg, "--with-oracles", "--mc-samples", "2000", "--seed", "3")
+            assert code == 0
+            lines = out.replace(cfg, "<config>").splitlines()
+            outputs.append([line for line in lines if not line.startswith("# config-sha256: ")])
+        assert len(outputs[0]) == 10
+        assert all(out == outputs[0] for out in outputs[1:])
 
     def test_with_oracles_columns(self, capsys, tmp_path):
         out_path = tmp_path / "chain.csv"
@@ -381,7 +407,8 @@ class TestSweepFailures:
         sigmas = np.repeat([[stage.sigma for stage in chain.stages]], steps, axis=0)
         rows = FirstFailure(steps)
         with pytest.raises(error) as info:
-            conditional_stats_rows(chain, query.free_index, fixed, sigmas, rows)
+            rotations = Rotations.of(chain.initial_state, chain.observables)
+            stats_rows(rotations, query.free_index, fixed, sigmas, rows, "conditional")
             rows.raise_first()
         assert info.value.row == failed[0]
 

@@ -15,7 +15,8 @@ from seqmeas import (
     forward_stats,
 )
 from seqmeas import spin
-from seqmeas.chain import conditional_density_k, pair_rows_moments
+from seqmeas import chain
+from seqmeas.chain import Rotations, conditional_density_k, stats_rows
 from seqmeas.errors import FirstFailure, VarianceInconsistency
 from seqmeas.joint import post_first_state
 from seqmeas.validate import random_density, random_observable
@@ -179,29 +180,39 @@ class TestBackward:
 
 
 class TestExtractedClampPolicy:
+    """The checks of the rows core on a chosen mixture row, fed to it in place of a query's collapsed numerator."""
+
     @staticmethod
-    def stats(m0, m1, c2, sigma=0.5):
+    def stats(monkeypatch, m0, m1, c2, sigma=0.5):
         # one mixture row at centers 0, 1 and 2 whose zeroth moment,
         # first moment and center spread are m0, m1 and c2
         r = (c2 - m1) / 2
         q = m1 - 2 * r
-        coeffs = np.array([[m0 - q - r, q, r]])
-        centers = np.array([0.0, 1.0, 2.0])
-        return pair_rows_moments(coeffs, centers, np.array([sigma]), FirstFailure(1), "density")[1]
+        weights, centers = np.array([[m0 - q - r, q, r]]), np.array([0.0, 1.0, 2.0])
+        monkeypatch.setattr(chain, "pair_mixture", lambda *args: (weights, centers))
+        rotations = Rotations.of(spin.plus_state(), (spin.s_z(), spin.s_x()))
+        fixed, sigmas = np.array([[0.3]]), np.array([[0.5, sigma]])
+        return stats_rows(rotations, 2, fixed, sigmas, FirstFailure(1), "density").stats
 
-    def test_sub_roundoff_negative_clamps_with_flag(self):
-        stats = self.stats(m0=1.0, m1=0.5, c2=0.25 - 1e-10)
+    def test_sub_roundoff_negative_clamps_with_flag(self, monkeypatch):
+        stats = self.stats(monkeypatch, m0=1.0, m1=0.5, c2=0.25 - 1e-10)
         assert stats.extracted_system_variance[0] == 0.0
         assert stats.clamped[0]
         assert abs(stats.variance[0] - 0.25) < 1e-15
 
-    def test_real_negative_raises(self):
-        with pytest.raises(VarianceInconsistency):
-            self.stats(m0=1.0, m1=0.5, c2=0.25 - 1e-6)
+    def test_real_negative_raises(self, monkeypatch):
+        with pytest.raises(VarianceInconsistency, match=r"^extracted variance -1\.000e-06 below -1e-09$"):
+            self.stats(monkeypatch, m0=1.0, m1=0.5, c2=0.25 - 1e-6)
 
-    def test_vanishing_normalization_raises(self):
-        with pytest.raises(ZeroLikelihood):
-            self.stats(m0=0.0, m1=0.0, c2=0.0)
+    def test_vanishing_normalization_raises(self, monkeypatch):
+        with pytest.raises(ZeroLikelihood, match=r"^density normalization 0\.0 too small$"):
+            self.stats(monkeypatch, m0=0.0, m1=0.0, c2=0.0)
+
+    def test_vanishing_normalization_of_a_record(self):
+        # a record whose backward numerator underflows, unpatched, as `seqmeas fig4 --sigma1 1e8` meets it
+        rotations = Rotations.of(spin.plus_state(), (spin.s_z(), spin.s_x()))
+        with pytest.raises(ZeroLikelihood, match=r"^backward normalization 0\.0 too small$"):
+            stats_rows(rotations, 1, np.array([[-1.0]]), np.array([[1e8, 0.1]]), FirstFailure(1), "backward")
 
 
 class TestBayesConsistency:

@@ -284,7 +284,7 @@ def outcome(fn, *args):
     try:
         return "ok", fn(*args)
     except (SeqMeasError, ValueError) as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "row", None)
 
 
 class TestConditionalMpurSumOneMomentPass:
@@ -303,7 +303,7 @@ class TestConditionalMpurSumOneMomentPass:
             )
 
     def test_backward_numerator_error(self, plus):
-        with pytest.raises(ValueError, match=r"^fixed outcomes must be finite$"):
+        with pytest.raises(ValueError, match=r"^fixed outcomes must be finite$") as info:
             conditional_mpur_sum(
                 plus,
                 MeasurementStage(spin.s_z(), Pointer(0.5)),
@@ -311,6 +311,8 @@ class TestConditionalMpurSumOneMomentPass:
                 0.2,
                 float("inf"),
             )
+        # the row of backward_stats' own error
+        assert info.value.row == 0
 
     def test_mixed_state_error_comes_first(self):
         with pytest.raises(ValueError, match=r"^initial state must be pure for the reference bound$"):

@@ -7,14 +7,13 @@ from scipy.integrate import quad
 from seqmeas import (
     GaussianPairSum,
     InvalidOrder,
-    MeasurementChain,
     NonHermitianSum,
     Pointer,
     amplitude,
     overlap,
     pair_moment,
 )
-from seqmeas.chain import conditional_density_rows
+from seqmeas.chain import Rotations, density_rows
 from seqmeas.errors import FirstFailure
 from seqmeas.pointer import pair_mixture
 
@@ -186,8 +185,8 @@ class TestFrozenCopies:
         self.assert_frozen(s)
 
     def test_from_chain_rows(self, plus, sz_stage, sx_stage):
-        chain = MeasurementChain((sz_stage(0.5), sx_stage(0.5)), plus)
-        rows = conditional_density_rows(chain, 1, np.array([[0.3], [0.5]]), np.full((2, 2), 0.5), FirstFailure(2))
+        rotations = Rotations.of(plus, (sz_stage(0.5).observable, sx_stage(0.5).observable))
+        rows = density_rows(rotations, 1, np.array([[0.3], [0.5]]), np.full((2, 2), 0.5), FirstFailure(2), "backward")
         s = rows.density(1)
         assert rows.coeffs.flags.writeable and rows.centers.flags.writeable
         self.assert_frozen(s)
