@@ -4,11 +4,11 @@ A chain applies its stages in order; a query fixes every outcome except
 one and asks for the density, mean and variance of the free one. The
 density of outcome ``k`` conditioned on all others is a Gaussian pair sum
 built from the chain state of the earlier stages and the effect product
-of the later ones (:func:`numerator_rows`). Every conditional query runs
-through one rows core, :func:`density_rows`, or :func:`stats_rows` for
-the moments too: the chain queries here, the two-stage forward and
-backward queries of :mod:`seqmeas.conditional` (its N = 2 case with free
-index 2 and 1), the figure sweeps and the conditional variance sum.
+of the later ones. Every conditional query runs through one rows core,
+:func:`density_rows`, or :func:`stats_rows` for the moments too: the
+chain queries here, the two-stage forward and backward queries of
+:mod:`seqmeas.conditional` (its N = 2 case with free index 2 and 1), the
+figure sweeps and the conditional variance sum.
 
 Each stage is folded in its own eigenbasis, where its Kraus operator is
 diagonal (:func:`~seqmeas.kraus.fold`), with one change of basis between
@@ -108,9 +108,6 @@ class ChainQuery:
             raise ValueError(f"free index {self.free_index} outside 1..{n}")
         if n_fixed != n - 1:
             raise ValueError(f"{n}-stage chain needs {n - 1} fixed outcomes, got {n_fixed}")
-
-    def outcomes_before(self) -> tuple[float, ...]:
-        return self.fixed_outcomes[: self.free_index - 1]
 
 
 @dataclass(frozen=True)
@@ -270,29 +267,26 @@ def effect_chain(chain: MeasurementChain, outcomes: Sequence[float]) -> tuple[np
     return _change_basis(matrices, operator)[0], float(log_scale[0])
 
 
-def numerator_rows(
-    rotations: Rotations,
-    free_index: int,
-    fixed: np.ndarray,
-    sigmas: np.ndarray,
-    rows: FirstFailure,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional-density numerators of the free outcome, one pair sum per record.
+def density_rows(
+    rotations: Rotations, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure, label: str
+) -> ChainRows:
+    """Densities of the free outcome for ``(B, N - 1)`` fixed outcomes and ``(B, N)`` widths: the rows core.
 
-    ``fixed`` holds ``(B, N - 1)`` outcomes of the other stages and
-    ``sigmas`` the ``(B, N)`` widths, finite and positive as
-    :class:`Pointer` enforces; ``rotations`` holds the chain's initial
-    state and stages. Each row checks, in order: finite outcomes, the state
-    of the earlier stages, finite coefficients. With free index 1 no stage
-    is folded and the state is ``rotations.state``; :class:`DensityMatrix`
-    construction ran the initial state through the same state check.
+    ``sigmas`` are finite and positive, as :class:`Pointer` enforces;
+    ``rotations`` holds the chain's initial state and stages. Each row
+    checks, in order: finite outcomes, the state of the earlier stages,
+    finite coefficients, the Hermitian residue of
+    :func:`~seqmeas.pointer.pair_mixture`, and the normalization, which
+    fails with :class:`ZeroLikelihood` (``"<label> normalization ... too
+    small"``) when the zeroth moment is not above 1e-300. With free index 1
+    no stage is folded and the state is ``rotations.state``, which
+    :class:`DensityMatrix` construction checked.
 
     The coefficients are ``rho * E^T`` with the state ``rho`` and the
     effect ``E`` both written in the free stage's eigenbasis: a Schur
     product of PSD factors, so the pair sum is a nonnegative density.
-    Returns the ``(n, d, d)`` coefficients of the live rows, the free
-    stage's ``(d,)`` eigenvalues and the ``(n,)`` free widths:
-    :func:`~seqmeas.pointer.pair_mixture` collapses them to a mixture.
+    The result holds the live rows; the caller raises
+    :meth:`FirstFailure.raise_first`.
     """
     n = rows.check(~np.isfinite(fixed).all(axis=-1), lambda i: ValueError("fixed outcomes must be finite"))
     free = free_index - 1
@@ -306,33 +300,13 @@ def numerator_rows(
     if len(coeffs) != n:
         coeffs = np.repeat(coeffs, n, axis=0)
     n = check_coefficients(coeffs.reshape(n, -1), rows)
-    return coeffs[:n], rotations.observables[free].eigenvalues, sigmas[:n, free]
-
-
-def check_normalization(m0: np.ndarray, rows: FirstFailure, label: str) -> int:
-    # ``label`` names the density in the message
-    return rows.check(
-        ~(np.isfinite(m0) & (m0 >= 1e-300)),
-        lambda i: ZeroLikelihood(f"{label} normalization {float(m0[i])!r} too small"),
-    )
-
-
-def density_rows(
-    rotations: Rotations, free_index: int, fixed: np.ndarray, sigmas: np.ndarray, rows: FirstFailure, label: str
-) -> ChainRows:
-    """Densities of the free outcome for ``(B, N - 1)`` fixed outcomes and ``(B, N)`` widths: the rows core.
-
-    Every conditional query runs through here: :func:`numerator_rows`
-    collapsed by :func:`~seqmeas.pointer.pair_mixture`, then the
-    normalization check, which fails a row with :class:`ZeroLikelihood`
-    (``"<label> normalization ... too small"``) when its zeroth moment is
-    not above 1e-300. The result holds the live rows; the caller raises
-    :meth:`FirstFailure.raise_first`.
-    """
-    coeffs, eigenvalues, sigma = numerator_rows(rotations, free_index, fixed, sigmas, rows)
-    weights, centers = pair_mixture(coeffs, eigenvalues, sigma, rows)
+    sigma = sigmas[:n, free]
+    weights, centers = pair_mixture(coeffs[:n], rotations.observables[free].eigenvalues, sigma, rows)
     norm = weights.sum(axis=-1)
-    n = check_normalization(norm, rows, label)
+    n = rows.check(
+        ~(np.isfinite(norm) & (norm >= 1e-300)),
+        lambda i: ZeroLikelihood(f"{label} normalization {float(norm[i])!r} too small"),
+    )
     return ChainRows(weights[:n], centers, sigma[:n], norm[:n])
 
 

@@ -120,7 +120,7 @@ def backward_density(
     The numerator is the mixture over ``x1`` proportional to
     ``Tr[rho_bar_1(x1) E(x2)]``, collapsed from the pair coefficients
     ``rho * E^T`` in the first observable's eigenbasis
-    (:func:`~seqmeas.chain.numerator_rows`).
+    (:func:`~seqmeas.chain.density_rows`).
     """
     return _density(rho0, stage1, stage2, 1, x2)
 

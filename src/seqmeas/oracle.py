@@ -13,10 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainQuery, MeasurementChain, Rotations, chain_state, check_normalization, numerator_rows, one_row
-from .errors import FirstFailure, QuadratureFailure, RejectionStall, ZeroLikelihood
+from .chain import ChainQuery, MeasurementChain
+from .errors import QuadratureFailure, RejectionStall, ZeroLikelihood
 from .kraus import MeasurementStage
-from .pointer import GaussianPairSum, pair_mixture, upper_pairs
+from .pointer import GaussianPairSum, upper_pairs
 
 #: Algorithm identifier of the sample generator, recorded in output metadata.
 RNG_ALGORITHM = "PCG64"
@@ -402,14 +402,41 @@ def jackknife_variance_se(x: np.ndarray) -> tuple[float, float]:
     return float(variance), se
 
 
-def _conditional_coeffs(chain: MeasurementChain, query: ChainQuery) -> tuple[np.ndarray, np.ndarray, float]:
-    """numerator_rows' ``(d, d)`` coefficients of a query, the free eigenvalues and width, checked as for a density."""
-    fixed, sigmas = one_row(chain, query.fixed_outcomes)
+def _dense_fold(matrix: np.ndarray, pairs) -> np.ndarray:
+    # K M K^H for each (stage, outcome) in the order given, with K = V diag(w) V^H, then unit trace.
+    # w is scaled so that the largest w_i^2 p_i is one over M's populations p_i (floored at 1e-300),
+    # and its logs are taken as differences: (x - a)^2 loses the eigenvalue gaps once |x| >> a gap
+    for stage, x in pairs:
+        v, a = stage.observable.eigenvectors, stage.observable.eigenvalues
+        logs = (a - a[0]) * (2.0 * x - a - a[0]) / (4.0 * stage.sigma**2)
+        populations = np.einsum("ip,ij,jp->p", v.conj(), matrix, v).real
+        logs -= (logs + 0.5 * np.log(np.maximum(populations, 1e-300))).max()
+        k = (v * np.exp(logs)) @ v.conj().T
+        matrix = k @ matrix @ k.conj().T
+        matrix = matrix / np.trace(matrix).real
+    return matrix
+
+
+def _conditional_coeffs(chain: MeasurementChain, query: ChainQuery):
+    """The free outcome's ``(d, d)`` pair coefficients ``C = rho * E^T``, from dense Kraus products.
+
+    The state ``rho`` of the earlier stages and the effect ``E`` of the later ones are written in
+    the free stage's eigenbasis. Returns C, the free eigenvalues and width, and ``rho``'s populations;
+    raises :class:`ZeroLikelihood` if the mixture normalization is not finite or below 1e-300.
+    """
     query.validate_for(chain)
-    rows, rotations = FirstFailure(1), Rotations.of(chain.initial_state, chain.observables)
-    coeffs, eigenvalues, sigma = numerator_rows(rotations, query.free_index, fixed, sigmas, rows)
-    check_normalization(pair_mixture(coeffs, eigenvalues, sigma, rows)[0].sum(axis=-1), rows, "conditional")
-    return coeffs[0], eigenvalues, float(sigma[0])
+    free, stages, fixed = query.free_index - 1, chain.stages, query.fixed_outcomes
+    v, a, sigma = stages[free].observable.eigenvectors, stages[free].observable.eigenvalues, stages[free].sigma
+    # an overflow shows as a non-finite normalization
+    with np.errstate(all="ignore"):
+        rho = _dense_fold(chain.initial_state.normalized().matrix, zip(stages[:free], fixed[:free]))
+        effect = _dense_fold(np.eye(chain.dim, dtype=complex), list(zip(stages[free + 1 :], fixed[free:]))[::-1])
+        rho, effect = (v.conj().T @ m @ v for m in (rho, effect))
+        coeffs = rho * effect.T
+        norm = float((coeffs.real * np.exp(-((a[:, None] - a) ** 2) / (8.0 * sigma * sigma))).sum())
+    if not (np.isfinite(coeffs).all() and norm >= 1e-300):
+        raise ZeroLikelihood(f"conditional normalization {norm!r} too small")
+    return coeffs, a, sigma, rho.diagonal().real
 
 
 def _split_density(coeffs: np.ndarray, eigenvalues: np.ndarray):
@@ -483,14 +510,10 @@ def mc_conditional_variance(
     the sample variance and its jackknife standard error.
     """
     rng = make_rng(cfg)
-    coeffs, eigenvalues, sigma = _conditional_coeffs(chain, query)
+    coeffs, eigenvalues, sigma, populations = _conditional_coeffs(chain, query)
     if not _split_density(coeffs, eigenvalues).any():
         samples = _sample_direct(rng, coeffs, eigenvalues, sigma, cfg.samples)
     else:
-        rho_before = chain_state(chain, query.outcomes_before())
-        v = chain.stages[query.free_index - 1].observable.eigenvectors
-        rho_diag = np.clip(
-            np.diag(v.conj().T @ rho_before.matrix @ v).real, 0.0, None
-        )
-        samples = _sample_rejection(rng, coeffs, sigma, rho_diag / rho_diag.sum(), eigenvalues, cfg.samples)
+        populations = np.clip(populations, 0.0, None)
+        samples = _sample_rejection(rng, coeffs, sigma, populations / populations.sum(), eigenvalues, cfg.samples)
     return jackknife_variance_se(samples)

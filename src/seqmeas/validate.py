@@ -299,8 +299,7 @@ def _suite_mpur(seed: int, trials: int) -> list[CheckResult]:
         worst_margin = min(worst_margin, margin)
         if not report.satisfied:
             violations += 1
-        total = Observable.from_matrix(a.matrix + b.matrix)
-        var_sum = mpur._pure_variance(psi, total)
+        var_sum = mpur._matrix_variance(psi.amplitudes, a.matrix + b.matrix)
         worst_rb = max(worst_rb, abs(report.r_b - 0.5 * var_sum))
     checks = [
         _check(

@@ -84,6 +84,19 @@ CATALOGUE = (
         "top = logs.max(axis=-1)",
     ),
     (
+        # the Monte Carlo oracle's fold scales its weights by the largest alone
+        "oracle-fold-without-population-floor",
+        "src/seqmeas/oracle.py",
+        "logs -= (logs + 0.5 * np.log(np.maximum(populations, 1e-300))).max()",
+        "logs -= logs.max()",
+    ),
+    (
+        "oracle-effect-folded-first-stage-first",
+        "src/seqmeas/oracle.py",
+        "list(zip(stages[free + 1 :], fixed[free:]))[::-1]",
+        "list(zip(stages[free + 1 :], fixed[free:]))",
+    ),
+    (
         "jackknife-se-tripled",
         "src/seqmeas/oracle.py",
         "    return float(variance), se\n",

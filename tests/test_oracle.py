@@ -24,9 +24,9 @@ from seqmeas import (
     sample_chain,
 )
 from seqmeas import spin
-from seqmeas.chain import chain_state, conditional_density_k
+from seqmeas.chain import conditional_density_k
 from seqmeas.core import Observable
-from seqmeas.errors import QuadratureFailure, RejectionStall, ZeroLikelihood
+from seqmeas.errors import FirstFailure, QuadratureFailure, RejectionStall, VarianceInconsistency, ZeroLikelihood
 from seqmeas.oracle import (
     _BLOCK,
     _CHUNK,
@@ -38,7 +38,7 @@ from seqmeas.oracle import (
     pair_sum_domain,
     quad_pair_sum_stats,
 )
-from seqmeas.pointer import Pointer as _P, amplitude, pair_moment
+from seqmeas.pointer import GaussianPairSum, Pointer as _P, amplitude, pair_mixture, pair_moment
 from seqmeas.validate import random_density, random_hermitian, random_observable, random_pure
 
 
@@ -458,15 +458,18 @@ def _reference_rejection(rng, coeffs, density, proposal_weights, proposal_center
     return np.concatenate(accepted)[:n], len(accepted)
 
 
+def _oracle_density(chain, query):
+    # the oracle's own (d, d) coefficients, their pair sum and the populations before the free stage
+    coeffs, eigenvalues, sigma, populations = _conditional_coeffs(chain, query)
+    weights, centers = pair_mixture(coeffs[None], eigenvalues, np.array([sigma]), FirstFailure(1))
+    return coeffs, GaussianPairSum(weights[0], centers, sigma), populations
+
+
 def _rejection_args(chain, query):
-    # what mc_conditional_variance hands to the rejection sampler, with the query's density
-    coeffs, _, _ = _conditional_coeffs(chain, query)
-    density, _ = conditional_density_k(chain, query)
-    rho = chain_state(chain, query.outcomes_before()).matrix
-    obs = chain.stages[query.free_index - 1].observable
-    v = obs.eigenvectors
-    diag = np.clip(np.diag(v.conj().T @ rho @ v).real, 0.0, None)
-    return coeffs, density, diag / diag.sum(), obs.eigenvalues
+    # what mc_conditional_variance hands to the rejection sampler, with the density of its coefficients
+    coeffs, density, populations = _oracle_density(chain, query)
+    diag = np.clip(populations, 0.0, None)
+    return coeffs, density, diag / diag.sum(), chain.stages[query.free_index - 1].observable.eigenvalues
 
 
 class TestRejectionStream:
@@ -569,3 +572,63 @@ class TestMcConditionalVariance:
         _, _, quad_var = quad_pair_sum_stats(density)
         estimate, se = mc_conditional_variance(chain, query, SamplerConfig(samples=300_000, seed=24))
         assert abs(estimate - quad_var) < 3 * se
+
+
+class TestOracleTarget:
+    """The oracle's coefficients come from dense Kraus products, not from the engine."""
+
+    def test_zero_population_level(self, up, sz_stage, sx_stage):
+        # x1 = -2 favours the empty down level over up by e^800 in w^2: scaled by its
+        # largest weight alone, up's w^2 underflows; scaled by the largest w_i^2 p_i, it does not
+        chain = MeasurementChain((sz_stage(0.05), sx_stage(0.3)), up)
+        got = mc_conditional_variance(chain, ChainQuery(2, (-2.0,)), SamplerConfig(2000, 1))
+        assert got == (0.3365720628469162, 0.007418815763141891)
+
+    def test_answers_every_far_record_the_engine_answers(self):
+        # 40% of the fixed outcomes lie 12-80 widths past an eigenvalue of their stage
+        rng = np.random.default_rng(35_001)
+        answered = 0
+        for _ in range(60):
+            dim, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+            stages = tuple(
+                MeasurementStage(random_observable(rng, dim), Pointer(float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))))
+                for _ in range(n)
+            )
+            chain = MeasurementChain(stages, random_density(rng, dim))
+            free = int(rng.integers(1, n + 1))
+            fixed = []
+            for j, stage in enumerate(stages):
+                if j + 1 != free:
+                    far = rng.random() < 0.4
+                    offset = rng.choice([-1.0, 1.0]) * rng.uniform(12.0, 80.0) if far else rng.standard_normal()
+                    fixed.append(float(rng.choice(stage.observable.eigenvalues) + offset * stage.sigma))
+            query = ChainQuery(free, tuple(fixed))
+            try:
+                engine = conditional_stats_k(chain, query)
+            except VarianceInconsistency:
+                # the weak-value regime (ROADMAP item 4)
+                continue
+            var, se = mc_conditional_variance(chain, query, SamplerConfig(500, 1))
+            assert np.isfinite(var) and np.isfinite(se)
+            # the exact moments of the oracle's density are the engine's
+            _, density, _ = _oracle_density(chain, query)
+            m0 = density.moment(0)
+            mean = density.moment(1) / m0
+            assert abs(mean - engine.mean) < 1e-12 * max(1.0, abs(mean))
+            assert abs(density.moment(2) / m0 - mean * mean - engine.variance) < 1e-12 * max(1.0, engine.variance)
+            answered += 1
+        assert answered >= 40
+
+    @pytest.mark.parametrize("free", [2, 1])
+    def test_outcome_far_beyond_the_spectrum(self, plus, sz_stage, sx_stage, free):
+        # (x - a)^2 at x = 1e16 no longer tells a = -1/2 from a = 1/2; the differences of the log weights do
+        chain = MeasurementChain((sz_stage(0.5), sx_stage(0.5)), plus)
+        closed = spin.var_sx_given_sz_closed(0.5, 1e16) if free == 2 else spin.var_sz_given_sx_closed(0.5, 0.5, 1e16)
+        var, se = mc_conditional_variance(chain, ChainQuery(free, (1e16,)), SamplerConfig(20_000, 3))
+        assert abs(var - (closed + 0.25)) < 5 * se
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 22: kraus.fold loses the eigenvalue gaps in (x - a)^2")
+    def test_engine_outcome_far_beyond_the_spectrum(self, plus, sz_stage, sx_stage):
+        chain = MeasurementChain((sz_stage(0.5), sx_stage(0.5)), plus)
+        variance = conditional_stats_k(chain, ChainQuery(2, (1e16,))).variance
+        assert abs(variance - (spin.var_sx_given_sz_closed(0.5, 1e16) + 0.25)) < 1e-12
