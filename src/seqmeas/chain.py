@@ -272,7 +272,7 @@ def density_rows(
 ) -> ChainRows:
     """Densities of the free outcome for ``(B, N - 1)`` fixed outcomes and ``(B, N)`` widths: the rows core.
 
-    ``sigmas`` are finite and positive, as :class:`Pointer` enforces;
+    ``sigmas`` pass :func:`~seqmeas.pointer.usable_width`, as :class:`Pointer` enforces;
     ``rotations`` holds the chain's initial state and stages. Each row
     checks, in order: finite outcomes, the state of the earlier stages,
     finite coefficients, the Hermitian residue of
@@ -290,11 +290,16 @@ def density_rows(
     """
     n = rows.check(~np.isfinite(fixed).all(axis=-1), lambda i: ValueError("fixed outcomes must be finite"))
     free = free_index - 1
-    # both factors end in the free stage's eigenbasis: the state one step on, the effect one step back
-    rho = _change_basis(chain_state_rows(rotations, fixed[:n, :free], sigmas[:n])[0], ((None,) + rotations.steps)[free])
-    if free:
-        n = check_states(rho, rows)
-    effect, _ = effect_chain_rows(rotations, fixed[:n, free:], sigmas[:n])
+    # a record whose log weights all overflow folds to non-finite entries, which the checks
+    # below refuse; a weight that alone overflows folds to zero, as its amplitude is
+    with np.errstate(over="ignore", invalid="ignore"):
+        # both factors end in the free stage's eigenbasis: the state one step on, the effect one step back
+        rho = _change_basis(
+            chain_state_rows(rotations, fixed[:n, :free], sigmas[:n])[0], ((None,) + rotations.steps)[free]
+        )
+        if free:
+            n = check_states(rho, rows)
+        effect, _ = effect_chain_rows(rotations, fixed[:n, free:], sigmas[:n])
     effect = _change_basis(effect, (rotations.backs + (None,))[free])
     coeffs = rho[:n] * effect.swapaxes(-1, -2)
     if len(coeffs) != n:

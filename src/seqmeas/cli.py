@@ -38,7 +38,7 @@ from .oracle import (
     mc_conditional_variance,
     quad_pair_sum_stats,
 )
-from .pointer import Pointer
+from .pointer import WIDTH_RANGE, Pointer, usable_width
 from .validate import SUITES, run_suite
 
 STATE_PRESETS = {
@@ -103,12 +103,12 @@ def _meta_lines(argv_repr: str, extra: Sequence[str] = ()) -> list[str]:
 def _grid(lo: float, hi: float, steps: int, *, log: bool) -> np.ndarray:
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi or steps < 2:
         raise InvalidRange(f"need finite min < max and steps >= 2, got ({lo}, {hi}, {steps})")
-    if log:
-        if lo <= 0:
-            raise InvalidRange("log-spaced grid needs a positive minimum")
-        # a width whose square underflows leaves the engine no finite state
-        if lo * lo < np.finfo(float).tiny:
-            raise InvalidRange(f"log-spaced grid needs a minimum whose square is a normal float, got {lo}")
+    # a log-spaced grid is a width: one the width rule refuses leaves the engine no finite state
+    if log and not (usable_width(lo) and usable_width(hi)):
+        raise InvalidRange(
+            "log-spaced grid needs a minimum whose square is a normal float and a maximum whose "
+            f"8 sigma^2 is finite, both within {WIDTH_RANGE}, got ({lo}, {hi})"
+        )
     try:
         return np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
     except (ValueError, OverflowError, IndexError):
@@ -148,7 +148,7 @@ def cmd_fig3(args) -> int:
     x1_grid = _grid(args.x1_min, args.x1_max, args.x1_steps, log=False)
     s1_grid = _grid(args.sigma1_min, args.sigma1_max, args.sigma1_steps, log=True)
     rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
-    sigma2 = Pointer(args.sigma2).sigma
+    sigma2 = args.sigma2
     x1, s1 = _outer_grid(x1_grid, s1_grid)
 
     def engine(r):
@@ -176,7 +176,7 @@ def cmd_fig4(args) -> int:
     x2_grid = _grid(args.x2_min, args.x2_max, args.x2_steps, log=False)
     s2_grid = _grid(args.sigma2_min, args.sigma2_max, args.sigma2_steps, log=True)
     rho0, sz, sx = spin.plus_state(), spin.s_z(), spin.s_x()
-    sigma1 = Pointer(args.sigma1).sigma
+    sigma1 = args.sigma1
     x2, s2 = _outer_grid(x2_grid, s2_grid)
 
     def engine(r):
@@ -301,6 +301,13 @@ def _parse_initial_state(obj, dim: int, path: str) -> DensityMatrix:
         raise ConfigParseError(f"{path}: {exc}") from exc
 
 
+def _width_error(path: str, sigma: float, shown: str) -> ConfigParseError:
+    """The diagnostic of a config width the width rule (:func:`~seqmeas.pointer.usable_width`) refuses."""
+    if sigma <= 0:
+        return ConfigParseError(f"{path}: expected a positive number, got {shown}")
+    return ConfigParseError(f"{path}: expected a width within {WIDTH_RANGE}, got {shown}")
+
+
 def _require_key(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ConfigParseError(f"{path}: missing required field {key!r}")
@@ -384,8 +391,8 @@ def parse_chain_config(payload: dict) -> tuple[MeasurementChain, ChainQuery, Swe
                 matrix_stages.append(i)
             raw = _require_key(stage_cfg, "sigma", path)
             sigma = _number(raw, f"{path}.sigma", "a positive number")
-            if sigma <= 0:
-                raise ConfigParseError(f"{path}.sigma: expected a positive number, got {_shown(raw)}")
+            if not usable_width(sigma):
+                raise _width_error(f"{path}.sigma", sigma, _shown(raw))
         except ConfigParseError:
             build_matrices()
             raise
@@ -457,12 +464,9 @@ def cmd_chain(args) -> int:
 
     def engine(rows):
         if sweep is not None and sweep.sets_sigma:
-            # a config that sets a width <= 0 is malformed at that row
+            # a config that sets a width the width rule refuses is malformed at that row
             rows.check(
-                grid <= 0.0,
-                lambda i: ConfigParseError(
-                    f"stages[{sweep.index}].sigma: expected a positive number, got {values[i]!r}"
-                ),
+                ~usable_width(grid), lambda i: _width_error(f"stages[{sweep.index}].sigma", grid[i], repr(values[i]))
             )
         rotations = Rotations.of(chain.initial_state, chain.observables)
         return stats_rows(rotations, query.free_index, fixed, sigmas, rows, "conditional")
@@ -537,7 +541,7 @@ def _finite_positive(value: float) -> bool:
     return math.isfinite(value) and value > 0.0
 
 
-_WIDTH = _bounded(float, _finite_positive, "a finite positive width")
+_WIDTH = _bounded(float, usable_width, f"a finite positive width within {WIDTH_RANGE}")
 _SEED = _bounded(int, lambda v: v >= 0, "a seed >= 0")
 
 
@@ -612,7 +616,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigParseError, InvalidRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SeqMeasError as exc:
+    except (SeqMeasError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

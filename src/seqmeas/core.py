@@ -8,7 +8,6 @@ share across threads.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,8 @@ from .errors import DimensionMismatch, FirstFailure, NoConvergence, NotHermitian
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 VARIANCE_CLAMP = 1e-12
+#: Largest |eigenvalue| admitted: every square, squared gap and second moment the engine forms stays finite
+SPECTRUM_BOUND = 1e153
 
 
 def _as_square(matrix) -> np.ndarray:
@@ -37,17 +38,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array.view()
 
 
-def hermiticity_defect(matrix: np.ndarray):
-    """Largest entrywise deviation of ``matrix`` from its adjoint.
-
-    A ``(B, d, d)`` stack gives one defect per matrix.
-    """
-    if not matrix.size:
-        return 0.0
-    deviation = np.abs(matrix - matrix.swapaxes(-1, -2).conj())
-    if deviation.ndim == 2:
-        return float(deviation.max())
-    return deviation.reshape(len(deviation), -1).max(axis=-1)
+def hermiticity_defect(matrices: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation of each matrix of a ``(B, d, d)`` stack, ``d >= 1``, from its adjoint."""
+    return np.abs(matrices - matrices.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
 
 
 def check_states(matrices: np.ndarray, rows: FirstFailure) -> int:
@@ -81,7 +74,7 @@ class Observable:
     matrix : ndarray
         The operator in the computational basis.
     eigenvalues : ndarray
-        Ascending eigenvalues, with multiplicity.
+        Ascending eigenvalues, with multiplicity, within ``+-SPECTRUM_BOUND``.
     eigenvectors : ndarray
         Orthonormal eigenvector columns, aligned with ``eigenvalues``; the
         columns of equal eigenvalues span their spectral projector.
@@ -109,8 +102,8 @@ class Observable:
 
         Each matrix passes the checks of :meth:`from_matrix` in the same
         order: finite, Hermitian within ``HERMITICITY_TOL``, solver
-        convergence, then those of :meth:`from_spectrum`. The first failing
-        matrix raises, and the error carries that matrix's index as ``row``.
+        convergence, then :data:`SPECTRUM_BOUND`. The first failing matrix
+        raises, and the error carries that matrix's index as ``row``.
         """
         m = np.array(matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2] or not m.shape[1]:
@@ -133,24 +126,25 @@ class Observable:
         defect = hermiticity_defect(m)
         n = rows.check(
             defect > HERMITICITY_TOL,
-            lambda i: NotHermitian(
-                f"max |M - M^dagger| = {defect[i]:.3e} exceeds {HERMITICITY_TOL:.1e}"
-            ),
+            lambda i: NotHermitian(f"max |M - M^dagger| = {defect[i]:.3e} exceeds {HERMITICITY_TOL:.1e}"),
         )
-        m = m[:n]
-        # eigh of a finite matrix gives finite, freshly allocated arrays
-        values, vectors = _eigh_rows(m, rows)
-        return cls._from_finite_spectra(values, vectors, m[: len(values)], rows)
+        values, vectors = _eigh_rows(m[:n], rows)
+        largest = np.abs(values).max(axis=-1)
+        n = rows.check(~(largest <= SPECTRUM_BOUND), lambda i: _beyond_bound(largest[i]))
+        # eigh gives ascending eigenvalues and orthonormal columns, in fresh arrays
+        return [
+            cls(matrix=matrix, eigenvalues=value, eigenvectors=vector)
+            for matrix, value, vector in zip(_frozen(m)[:n], _frozen(values)[:n], _frozen(vectors)[:n])
+        ]
 
     @classmethod
-    def from_spectrum(
-        cls,
-        eigenvalues,
-        eigenvectors,
-        matrix: np.ndarray | None = None,
-    ) -> "Observable":
-        """Build an observable from ascending eigenvalues and orthonormal columns."""
-        values = np.asarray(eigenvalues, dtype=float).copy()
+    def from_spectrum(cls, eigenvalues, eigenvectors) -> "Observable":
+        """Build an observable from ascending eigenvalues and orthonormal columns; its matrix is ``V diag(values) V^H``.
+
+        Checks, in order: finite values, finite vectors, a ``(d, d)`` block,
+        orthonormal within 1e-10, ascending, then :data:`SPECTRUM_BOUND`.
+        """
+        values = np.array(eigenvalues, dtype=float).ravel()
         vectors = np.array(eigenvectors, dtype=complex)
         # NaN would pass every tolerance test that follows, since comparisons with it are false
         if not np.isfinite(values).all():
@@ -159,45 +153,21 @@ class Observable:
             raise ValueError("eigenvectors contain non-finite entries")
         d = values.size
         if vectors.shape != (d, d):
-            raise DimensionMismatch(
-                f"{d} eigenvalues but eigenvector block of shape {vectors.shape}"
-            )
-        matrices = None if matrix is None else np.array(matrix, dtype=complex)[None]
-        return cls._from_finite_spectra(
-            values.reshape(1, d), vectors[None], matrices, FirstFailure(1)
-        )[0]
-
-    @classmethod
-    def _from_finite_spectra(cls, values, vectors, matrices, rows) -> list["Observable"]:
-        """Observables of ``(n, d)`` finite spectra, the checks of :meth:`from_spectrum` first.
-
-        ``matrices`` holds each operator (rebuilt from its spectrum when
-        ``None``); ``rows`` records the first failing row.
-        """
-        d = values.shape[-1]
-        unitarity = np.abs(vectors.conj().swapaxes(-1, -2) @ vectors - _identity(d)).max(axis=(-2, -1))
-        skewed = unitarity > 1e-10
-        # the orthonormality and then the ordering check of every row, as one check
-        n = rows.check(
-            skewed | (np.diff(values, axis=-1) < 0.0).any(axis=-1),
-            lambda i: ValueError(
-                f"eigenvectors not orthonormal: defect {unitarity[i]:.3e}"
-                if skewed[i]
-                else "eigenvalues must be ascending"
-            ),
-        )
-        values, vectors = _frozen(values)[:n], _frozen(vectors)[:n]
-        if matrices is None:
-            matrices = (vectors * values[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
-        return [
-            cls(matrix=matrix, eigenvalues=value, eigenvectors=vector)
-            for matrix, value, vector in zip(_frozen(matrices)[:n], values, vectors)
-        ]
+            raise DimensionMismatch(f"{d} eigenvalues but eigenvector block of shape {vectors.shape}")
+        unitarity = np.abs(vectors.conj().T @ vectors - np.eye(d)).max()
+        if unitarity > 1e-10:
+            raise ValueError(f"eigenvectors not orthonormal: defect {unitarity:.3e}")
+        if (np.diff(values) < 0.0).any():
+            raise ValueError("eigenvalues must be ascending")
+        largest = np.abs(values).max()
+        if largest > SPECTRUM_BOUND:
+            raise _beyond_bound(largest)
+        matrix = (vectors * values) @ vectors.conj().T
+        return cls(matrix=_frozen(matrix), eigenvalues=_frozen(values), eigenvectors=_frozen(vectors))
 
 
-@functools.cache
-def _identity(d: int) -> np.ndarray:
-    return _frozen(np.eye(d))
+def _beyond_bound(largest) -> ValueError:
+    return ValueError(f"eigenvalues must lie within +-{SPECTRUM_BOUND:.0e}, got max |eigenvalue| {largest:.3e}")
 
 
 def _eigh_rows(m: np.ndarray, rows: FirstFailure):

@@ -11,6 +11,8 @@ and hbar = 1 throughout.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +23,14 @@ from .errors import FirstFailure, InvalidOrder, NonHermitianSum
 
 #: Relative imaginary residue above which :func:`pair_mixture` rejects a row.
 HERMITIAN_RESIDUE_TOL = 1e-8
+#: The widths whose square is a normal float and ``8 sigma^2`` finite, both ends exact.
+WIDTH_MIN, WIDTH_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 8.0)
+WIDTH_RANGE = f"[{WIDTH_MIN!r}, {WIDTH_MAX!r}]"
+
+
+def usable_width(sigma):
+    """The width rule, on a float or an array: ``WIDTH_MIN <= sigma <= WIDTH_MAX``; NaN fails it."""
+    return (WIDTH_MIN <= sigma) & (sigma <= WIDTH_MAX)
 
 
 @dataclass(frozen=True)
@@ -35,8 +45,8 @@ class Pointer:
 
     def __post_init__(self):
         s = float(self.sigma)
-        if not np.isfinite(s) or s <= 0.0:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
+        if not usable_width(s):
+            raise ValueError(f"sigma must be finite and positive, within {WIDTH_RANGE}, got {self.sigma!r}")
         object.__setattr__(self, "sigma", s)
 
 

@@ -172,6 +172,21 @@ CATALOGUE = (
         'stats_rows(Rotations.of(rho0, (sz, sx)), 2, x2[:, None], sigmas, r, "backward")',
     ),
     (
+        # eigh's columns, trusted as they come, no longer face their eigenvalues
+        "observable-eigenvectors-reversed",
+        "src/seqmeas/core.py",
+        "        values, vectors = _eigh_rows(m[:n], rows)\n",
+        "        values, vectors = _eigh_rows(m[:n], rows)\n        vectors = vectors[..., ::-1]\n",
+    ),
+    (
+        # the same operator, stored against the documented ascending order
+        "observable-spectrum-descending",
+        "src/seqmeas/core.py",
+        "        values, vectors = _eigh_rows(m[:n], rows)\n",
+        "        values, vectors = _eigh_rows(m[:n], rows)\n"
+        "        values, vectors = values[..., ::-1], vectors[..., ::-1]\n",
+    ),
+    (
         "mpur-backward-as-forward",
         "src/seqmeas/mpur.py",
         "for free, x in ((2, x1), (1, x2))",

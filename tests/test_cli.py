@@ -2,7 +2,9 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +34,15 @@ from seqmeas.cli import (
     main,
     parse_chain_config,
 )
+from seqmeas.core import SPECTRUM_BOUND
 from seqmeas.errors import (
     ConfigParseError,
     FirstFailure,
     SeqMeasError,
     VarianceInconsistency,
 )
+
+from seqmeas.pointer import WIDTH_MAX, WIDTH_MIN, WIDTH_RANGE
 
 from reference import dense_kraus_reference
 
@@ -489,6 +494,9 @@ class TestOptionBounds:
             (("fig4", "--sigma1", "nan"), "--sigma1"),
             (("validate", "pointer", "--trials", "-3"), "--trials"),
             (("validate", "pointer", "--seed", "-1"), "--seed"),
+            # widths beyond the width rule
+            (("fig3", "--sigma2", "1e160"), "--sigma2"),
+            (("fig4", "--sigma1", "1e-160"), "--sigma1"),
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, option):
@@ -890,6 +898,8 @@ class TestGridLimits:
             ("fig2", "--sigma1-min", "1e-170", "--sigma1-max", "1e-160", "--steps", "3"),
             ("fig3", "--sigma1-min", "1e-155", "--x1-steps", "3", "--sigma1-steps", "2"),
             ("fig4", "--sigma2-min", "1e-155", "--x2-steps", "3", "--sigma2-steps", "2"),
+            # a maximum whose 8 sigma^2 overflows
+            ("fig2", "--sigma1-max", "1e160", "--steps", "3"),
         ],
     )
     def test_width_whose_square_underflows(self, capsys, argv):
@@ -916,6 +926,78 @@ class TestGridLimits:
         code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
         assert (code, out) == (2, "")
         assert err == f"error: steps = {10**400} is beyond the largest array numpy can build\n"
+
+
+def two_stage(first_observable="Sz", first_sigma=0.5, free_index=2, fixed=(0.3,)):
+    return {
+        "dim": 2,
+        "initial_state": "plus",
+        "stages": [{"observable": first_observable, "sigma": first_sigma}, {"observable": "Sx", "sigma": 0.5}],
+        "query": {"free_index": free_index, "fixed_outcomes": list(fixed)},
+    }
+
+
+class TestUnrepresentableInputs:
+    """Spectra, widths and outcomes the engine cannot represent give one `error:` line, never a traceback,
+    a nan or inf cell, or a RuntimeWarning."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    def run(self, capsys, tmp_path, payload):
+        code, out, err = run_cli(capsys, "chain", write_config(tmp_path, payload))
+        assert "Traceback" not in err
+        return code, out, err
+
+    @pytest.mark.parametrize("free_index,outcome", [(2, 1e300), (1, -1e308)])
+    def test_far_outcome_is_one_error_line(self, capsys, tmp_path, free_index, outcome):
+        code, out, err = self.run(capsys, tmp_path, two_stage(free_index=free_index, fixed=(outcome,)))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry,shown", [(1.7e308, "inf"), (1e308, "1.414e+308")])
+    def test_spectrum_beyond_the_bound_is_a_config_error(self, capsys, tmp_path, entry, shown):
+        payload = two_stage([[entry, entry], [entry, -entry]], free_index=1)
+        code, out, err = self.run(capsys, tmp_path, payload)
+        message = f"stages[0].observable: eigenvalues must lie within +-1e+153, got max |eigenvalue| {shown}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("free_index", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "observable,sigma",
+        [
+            ([[SPECTRUM_BOUND, 0.0], [0.0, -SPECTRUM_BOUND]], 0.5),
+            ([[SPECTRUM_BOUND, 0.0], [0.0, -SPECTRUM_BOUND]], WIDTH_MAX),
+            ("Sz", WIDTH_MIN),
+            ("Sz", WIDTH_MAX),
+        ],
+    )
+    def test_largest_admitted_inputs_answer(self, capsys, tmp_path, free_index, observable, sigma):
+        payload = two_stage(observable, sigma, free_index, (0.3, -0.2))
+        payload["stages"].append({"observable": observable, "sigma": sigma})
+        code, out, err = self.run(capsys, tmp_path, payload)
+        assert (code, err) == (0, "")
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 1 and np.isfinite(rows[0]).all()
+
+    @pytest.mark.parametrize(
+        "sigma", [1e200, 1e-200, math.nextafter(WIDTH_MAX, math.inf), math.nextafter(WIDTH_MIN, 0.0)]
+    )
+    @pytest.mark.parametrize("free_index", [1, 2])
+    def test_width_beyond_the_rule_is_a_config_error(self, capsys, tmp_path, sigma, free_index):
+        code, out, err = self.run(capsys, tmp_path, two_stage(first_sigma=sigma, free_index=free_index))
+        message = f"stages[0].sigma: expected a width within {WIDTH_RANGE}, got {sigma!r}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_width_sweep_beyond_the_rule_is_a_config_error(self, capsys, tmp_path):
+        payload = dict(two_stage(), sweep={"path": "stages.0.sigma", "min": 1.0, "max": 1e200, "steps": 3})
+        code, out, err = self.run(capsys, tmp_path, payload)
+        assert (code, out) == (2, "")
+        message = f"stages[0].sigma: expected a width within {WIDTH_RANGE}, got 5e+199"
+        assert err == f"error: stages.0.sigma = 5e+199: {message}\n"
 
 
 class TestConfigIntake:

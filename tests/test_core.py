@@ -15,7 +15,7 @@ from seqmeas import (
     variance_of,
 )
 from seqmeas import spin
-from seqmeas.core import check_states
+from seqmeas.core import SPECTRUM_BOUND, check_states
 from seqmeas.errors import FirstFailure
 from seqmeas.validate import random_density, random_hermitian, random_observable
 
@@ -189,13 +189,40 @@ class TestFromMatrixChecks:
         assert obs.matrix[0, 0] == 1.0
         assert not obs.matrix.flags.writeable
 
-    def test_from_spectrum_keeps_its_own_matrix(self):
-        m = np.diag([1.0, 2.0])
-        obs = Observable.from_spectrum([1.0, 2.0], np.eye(2), matrix=m)
-        m[0, 0] = 5.0
-        assert obs.matrix[0, 0] == 1.0
-        assert obs.matrix.dtype == complex
-        assert not obs.matrix.flags.writeable
+
+class TestSpectrumBound:
+    """Both builders refuse a spectrum beyond ``SPECTRUM_BOUND``, where the engine's squares overflow."""
+
+    @pytest.mark.parametrize("entry,shown", [(1.7e308, "inf"), (1e308, "1.414e+308")])
+    def test_from_matrix_refuses(self, entry, shown):
+        message = f"eigenvalues must lie within +-1e+153, got max |eigenvalue| {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            Observable.from_matrix([[entry, entry], [entry, -entry]])
+        assert type(info.value) is ValueError
+
+    def test_from_matrices_names_its_row(self):
+        with pytest.raises(ValueError, match="eigenvalues must lie within") as info:
+            Observable.from_matrices([np.eye(2), np.diag([0.0, 2e153]), np.diag([0.0, np.inf])])
+        assert info.value.row == 1
+
+    def test_from_spectrum_refuses_after_its_other_checks(self):
+        with pytest.raises(ValueError, match=re.escape("got max |eigenvalue| 2.000e+153")):
+            Observable.from_spectrum([-2e153, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="eigenvalues must be ascending"):
+            Observable.from_spectrum([2e153, 0.0], np.eye(2))
+
+    def test_bound_itself_admitted(self):
+        edge = [-SPECTRUM_BOUND, SPECTRUM_BOUND]
+        assert Observable.from_spectrum(edge, np.eye(2)).eigenvalues.tolist() == edge
+        assert Observable.from_matrix(np.diag(edge)).eigenvalues.tolist() == edge
+
+
+def test_from_spectrum_rebuilds_its_matrix(rng):
+    values, vectors = np.array([-1.0, 0.5, 2.0]), random_unitary(rng, 3)
+    obs = Observable.from_spectrum(values, vectors)
+    assert np.array_equal(obs.matrix, (vectors * values) @ vectors.conj().T)
+    vectors[0, 0] = values[0] = 5.0
+    assert obs.eigenvalues[0] == -1.0 and obs.eigenvectors[0, 0] != 5.0
 
 
 class TestCannotBeMadeWritable:
@@ -207,11 +234,10 @@ class TestCannotBeMadeWritable:
             lambda: Observable.from_matrix(np.diag([1.0, 2.0])),
             lambda: Observable.from_matrices(np.stack([np.eye(2), np.diag([1.0, 2.0])]))[1],
             lambda: Observable.from_spectrum([1.0, 2.0], np.eye(2)),
-            lambda: Observable.from_spectrum([1.0, 2.0], np.eye(2), matrix=np.diag([1.0, 2.0])),
             spin.s_z,
             spin.s_x,
         ],
-        ids=["from_matrix", "from_matrices", "from_spectrum", "from_spectrum_matrix", "s_z", "s_x"],
+        ids=["from_matrix", "from_matrices", "from_spectrum", "s_z", "s_x"],
     )
     def test_setflags_write_raises(self, make):
         obs = make()

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from seqmeas import (
 )
 from seqmeas.chain import Rotations, density_rows
 from seqmeas.errors import FirstFailure
-from seqmeas.pointer import pair_mixture
+from seqmeas.pointer import WIDTH_MAX, WIDTH_MIN, pair_mixture, usable_width
 
 finite_centers = st.floats(min_value=-3.0, max_value=3.0)
 sigmas = st.floats(min_value=0.05, max_value=5.0)
@@ -52,6 +55,34 @@ class TestAmplitude:
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 Pointer(bad)
+
+
+class TestWidthRule:
+    """``usable_width`` is the stated rule exactly: ``sigma^2`` a normal float and ``8 sigma^2`` finite."""
+
+    @staticmethod
+    def stated_rule(sigma: float) -> bool:
+        # Python floats overflow to inf without a warning
+        return sigma > 0.0 and sigma * sigma >= sys.float_info.min and math.isfinite(8.0 * (sigma * sigma))
+
+    def test_matches_the_stated_rule_at_both_edges(self):
+        for edge in (WIDTH_MIN, WIDTH_MAX):
+            below, above = edge, edge
+            for _ in range(40):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                for sigma in (below, above):
+                    assert usable_width(sigma) == self.stated_rule(sigma), sigma
+        assert usable_width(WIDTH_MIN) and usable_width(WIDTH_MAX)
+
+    def test_pointer_keeps_the_rule(self):
+        Pointer(WIDTH_MIN), Pointer(WIDTH_MAX)
+        for bad in (math.nextafter(WIDTH_MIN, 0.0), math.nextafter(WIDTH_MAX, math.inf), 1e-200, 1e200):
+            with pytest.raises(ValueError, match="sigma must be finite and positive, within"):
+                Pointer(bad)
+
+    def test_arrays(self):
+        widths = np.array([np.nan, -1.0, 0.0, 1e-160, WIDTH_MIN, 1.0, WIDTH_MAX, 1e160, np.inf])
+        assert usable_width(widths).tolist() == [False, False, False, False, True, True, True, False, False]
 
 
 class TestOverlap:
